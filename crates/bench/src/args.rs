@@ -42,10 +42,6 @@
 //!   budget for the warm-session bitblast cache; least-recently-used
 //!   sessions are evicted beyond it
 //!   (see [`crate::experiments::set_solver_cache_budget`]);
-//! * `--portfolio N` / `--portfolio=N` — race each budgeted
-//!   reachability query across `N` budget profiles (2–4); the
-//!   canonical lowest-index winner keeps reports deterministic
-//!   (see [`crate::experiments::set_portfolio`]);
 //! * `--affinity` — order each guidance round's goal batch by
 //!   KMV-sketch affinity (implies `--introspect`) — see
 //!   [`crate::experiments::set_affinity`].
@@ -86,8 +82,6 @@ pub struct BenchArgs {
     pub incremental: bool,
     /// Bitblast-cache byte budget from `--solver-cache-budget`, if any.
     pub solver_cache_budget: Option<u64>,
-    /// Portfolio width from `--portfolio`, if any.
-    pub portfolio: Option<u32>,
     /// Affinity-ordered goal batching armed via `--affinity`.
     pub affinity: bool,
 }
@@ -118,7 +112,6 @@ pub fn split_bench_args<A: Iterator<Item = String>>(args: A) -> BenchArgs {
     let mut status_out = None;
     let mut incremental = false;
     let mut solver_cache_budget = None;
-    let mut portfolio = None;
     let mut affinity = false;
     let mut passthrough = Vec::new();
     let mut args = args.peekable();
@@ -183,10 +176,6 @@ pub fn split_bench_args<A: Iterator<Item = String>>(args: A) -> BenchArgs {
                 .or(solver_cache_budget);
         } else if let Some(v) = a.strip_prefix("--solver-cache-budget=") {
             solver_cache_budget = v.parse().ok().or(solver_cache_budget);
-        } else if a == "--portfolio" {
-            portfolio = args.next().and_then(|v| v.parse().ok()).or(portfolio);
-        } else if let Some(v) = a.strip_prefix("--portfolio=") {
-            portfolio = v.parse().ok().or(portfolio);
         } else if a == "--affinity" {
             affinity = true;
         } else {
@@ -209,7 +198,6 @@ pub fn split_bench_args<A: Iterator<Item = String>>(args: A) -> BenchArgs {
         status_out,
         incremental,
         solver_cache_budget,
-        portfolio,
         affinity,
     }
 }
@@ -252,9 +240,6 @@ pub fn parse_bench_args() -> BenchArgs {
     }
     if let Some(bytes) = parsed.solver_cache_budget {
         crate::experiments::set_solver_cache_budget(bytes);
-    }
-    if let Some(width) = parsed.portfolio {
-        crate::experiments::set_portfolio(width);
     }
     if parsed.affinity {
         // Affinity ordering keys on introspection sketches, so arm
@@ -383,23 +368,20 @@ mod tests {
 
     #[test]
     fn extracts_incremental_solver_flags() {
-        let a = split("2000 --incremental --solver-cache-budget 4096 --portfolio 3 --affinity");
+        let a = split("2000 --incremental --solver-cache-budget 4096 --affinity");
         assert_eq!(a.rest, vec!["2000".to_string()]);
         assert!(a.incremental);
         assert_eq!(a.solver_cache_budget, Some(4096));
-        assert_eq!(a.portfolio, Some(3));
         assert!(a.affinity);
-        let b = split("--solver-cache-budget=1048576 --portfolio=2");
+        let b = split("--solver-cache-budget=1048576");
         assert!(!b.incremental && !b.affinity);
         assert_eq!(b.solver_cache_budget, Some(1_048_576));
-        assert_eq!(b.portfolio, Some(2));
         // Malformed values fall back to unset.
-        let c = split("--portfolio wide --solver-cache-budget big");
-        assert_eq!(c.portfolio, None);
+        let c = split("--solver-cache-budget big");
         assert_eq!(c.solver_cache_budget, None);
         let d = split("42");
         assert!(!d.incremental && !d.affinity);
-        assert!(d.portfolio.is_none() && d.solver_cache_budget.is_none());
+        assert!(d.solver_cache_budget.is_none());
     }
 
     #[test]

@@ -5,11 +5,10 @@
 //!
 //! Usage: `budgetbench [max_vectors] [budget...] [--jobs N]
 //! [--log-level LEVEL] [--trace-out PATH] [--incremental]
-//! [--solver-cache-budget N] [--portfolio N] [--affinity]` — default
-//! 1 000 vectors at 500 / 2 000 / 10 000 conflicts. `budgetbench
-//! --smoke` runs one tiny ceiling (CI: proves a budget-exhausted
-//! campaign terminates cleanly and the A/B artifact stays
-//! schema-valid).
+//! [--solver-cache-budget N] [--affinity]` — default 1 000 vectors
+//! at 500 / 2 000 / 10 000 conflicts. `budgetbench --smoke` runs one
+//! tiny ceiling (CI: proves a budget-exhausted campaign terminates
+//! cleanly and the A/B artifact stays schema-valid).
 
 use symbfuzz_bench::experiments::{budget_profile, solvercache_profile};
 use symbfuzz_bench::render::{render_budget_profile, render_solvercache_profile, save_json};

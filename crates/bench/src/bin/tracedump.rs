@@ -1,11 +1,11 @@
 //! Renders a `--trace-out` JSONL campaign trace: validates every
 //! record against the telemetry schema, then prints a per-phase time
-//! table, the compiled-settle fast-path hit rate (when the trace has
-//! `Metrics` records), the per-goal solver cost table with p50/p90/p99
-//! per-call conflict quantiles (when the trace has `GoalSolveCost`
-//! records from an introspected campaign), the bitblast-cache hit
-//! rate and per-profile portfolio wins (when the trace has
-//! `SolverCache` records from an incremental campaign) and the
+//! table, the compiled-settle fast-path hit rate and the runtime
+//! witness-oracle misses (when the trace has `Metrics` records), the
+//! per-goal solver cost table with p50/p90/p99 per-call conflict
+//! quantiles (when the trace has `GoalSolveCost` records from an
+//! introspected campaign), the bitblast-cache hit rate (when the trace
+//! has `SolverCache` records from an incremental campaign) and the
 //! coverage/stagnation/bug timeline.
 //!
 //! Usage: `tracedump <trace.jsonl> [--check] [--json]`
@@ -18,7 +18,7 @@
 use std::process::ExitCode;
 use symbfuzz_bench::trace::{
     goal_cost_table, parse_trace, phase_table, settle_mix_table, solver_cache_table, timeline,
-    to_json_lines,
+    to_json_lines, witness_summary,
 };
 
 fn main() -> ExitCode {
@@ -70,6 +70,11 @@ fn main() -> ExitCode {
         println!("## Compiled-settle fast path\n");
         println!("{mix}");
     }
+    let witness = witness_summary(&records);
+    if !witness.is_empty() {
+        println!("## Witness oracle\n");
+        println!("{witness}");
+    }
     let costs = goal_cost_table(&records);
     if !costs.is_empty() {
         println!("## Per-goal solver cost\n");
@@ -77,7 +82,7 @@ fn main() -> ExitCode {
     }
     let cache = solver_cache_table(&records);
     if !cache.is_empty() {
-        println!("## Solver cache & portfolio\n");
+        println!("## Solver cache\n");
         println!("{cache}");
     }
     println!("## Timeline\n");

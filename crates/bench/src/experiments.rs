@@ -14,8 +14,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use symbfuzz_core::{
-    CampaignResult, CoverageSample, FuzzConfig, FuzzConfigBuilder, PortfolioBlock, PropertySpec,
-    SettlePolicy, SolverCacheBlock, SolverProfileBlock, SolverScopeBlock, Strategy, SymbFuzz,
+    CampaignResult, CoverageSample, FuzzConfig, FuzzConfigBuilder, PropertySpec, SettlePolicy,
+    SolverCacheBlock, SolverProfileBlock, SolverScopeBlock, Strategy, SymbFuzz,
 };
 use symbfuzz_designs::{bug_benchmarks, processor_benchmarks, Benchmark};
 use symbfuzz_logic::LogicVec;
@@ -139,23 +139,6 @@ pub fn incremental() -> bool {
     INCREMENTAL.get().copied().unwrap_or(false)
 }
 
-/// The process-global portfolio width, set once by `--portfolio`.
-static PORTFOLIO: OnceLock<u32> = OnceLock::new();
-
-/// Races every budgeted reachability query of every subsequent
-/// campaign across `width` budget profiles (0 = off, 2..=4 profiles).
-/// First call wins; later calls are no-ops. The canonical
-/// lowest-index-winner rule keeps raced reports byte-identical at any
-/// `--jobs`.
-pub fn set_portfolio(width: u32) {
-    let _ = PORTFOLIO.set(width);
-}
-
-/// The active portfolio width (`None` when unset).
-pub fn portfolio() -> Option<u32> {
-    PORTFOLIO.get().copied()
-}
-
 /// The process-global affinity-ordering switch, set once by
 /// `--affinity`.
 static AFFINITY: OnceLock<bool> = OnceLock::new();
@@ -192,7 +175,7 @@ pub fn solver_cache_budget() -> Option<u64> {
     SOLVER_CACHE_BUDGET.get().copied()
 }
 
-/// Applies the incremental/portfolio/affinity/cache-budget globals to
+/// Applies the incremental/affinity/cache-budget globals to
 /// a campaign builder — the shared tail of every experiment's config.
 /// `--affinity` forces introspection on, which the builder requires.
 fn apply_solver_knobs(mut b: FuzzConfigBuilder) -> FuzzConfigBuilder {
@@ -201,9 +184,6 @@ fn apply_solver_knobs(mut b: FuzzConfigBuilder) -> FuzzConfigBuilder {
     }
     if let Some(bytes) = solver_cache_budget() {
         b = b.solver_cache_budget(bytes);
-    }
-    if let Some(width) = portfolio() {
-        b = b.portfolio(width);
     }
     if affinity() {
         b = b.affinity_ordering(true).solver_introspection(true);
@@ -343,10 +323,11 @@ fn run(
     attach_telemetry(&mut fuzzer, task);
     attach_flight_outputs(&mut fuzzer, task);
     let result = fuzzer.run();
-    // One summary record per campaign with the settle-engine mix so
-    // `tracedump` can report the fast-path hit rate (no-op when the
-    // collector has no sink, i.e. tracing is off), plus the solver
-    // cache / portfolio summary when those features are armed.
+    // One summary record per campaign with the settle-engine mix and
+    // witness misses so `tracedump` can report the fast-path hit rate
+    // and the witness oracle (no-op when the collector has no sink,
+    // i.e. tracing is off), plus the solver cache summary when
+    // incremental solving is armed.
     fuzzer.telemetry().emit_settle_metrics();
     fuzzer.emit_solver_metrics();
     fuzzer.telemetry().flush();
@@ -750,8 +731,6 @@ pub struct BudgetProfileRow {
     pub bitblast_cache_misses: u64,
     /// Warm-session goal-reuse rate in permille.
     pub session_reuse_milli: u64,
-    /// Portfolio wins per profile index (empty unless `--portfolio`).
-    pub portfolio_wins: Vec<u64>,
     /// Non-zero `SolveStatus` tallies, in schema order.
     pub solve_outcomes: Vec<(String, u64)>,
 }
@@ -825,6 +804,7 @@ pub fn budget_profile(budgets: &[u64], max_vectors: u64, jobs: usize) -> Vec<Bud
         attach_telemetry(&mut fuzzer, task);
         attach_flight_outputs(&mut fuzzer, task);
         let r = fuzzer.run();
+        fuzzer.telemetry().emit_settle_metrics();
         fuzzer.emit_solver_metrics();
         fuzzer.telemetry().flush();
         let counter = |name: &str| {
@@ -845,10 +825,6 @@ pub fn budget_profile(budgets: &[u64], max_vectors: u64, jobs: usize) -> Vec<Bud
             bitblast_cache_hits: cache.frame_hits,
             bitblast_cache_misses: cache.frame_misses,
             session_reuse_milli: cache.reuse_milli,
-            portfolio_wins: r
-                .portfolio
-                .as_ref()
-                .map_or_else(Vec::new, |p| p.wins.clone()),
             solve_outcomes: r
                 .solve_outcomes
                 .iter()
@@ -883,9 +859,6 @@ pub struct ScopeProfileResult {
     /// The merged bitblast-cache block (`None` unless `--incremental`
     /// armed incremental solving for these campaigns).
     pub solver_cache: Option<SolverCacheBlock>,
-    /// The merged portfolio block (`None` unless `--portfolio` armed
-    /// racing for these campaigns).
-    pub portfolio: Option<PortfolioBlock>,
 }
 
 /// Solver-introspection profile: runs introspected SymbFuzz campaigns
@@ -894,9 +867,9 @@ pub struct ScopeProfileResult {
 /// the benign `ibex_like` control (satisfiable goals — affinity
 /// territory) and the goal-dense `goalfabric` fixture (sibling goals
 /// sharing one frame — session-reuse territory), two seeded campaigns
-/// per design fanned across the pool, then merges scope, profile,
-/// cache and portfolio blocks in task order. Seeds are fixed per
-/// campaign, so results are byte-identical at any `jobs` value.
+/// per design fanned across the pool, then merges scope, profile and
+/// cache blocks in task order. Seeds are fixed per campaign, so
+/// results are byte-identical at any `jobs` value.
 pub fn solverscope_profile(
     max_vectors: u64,
     solver_budget_ceiling: u64,
@@ -923,6 +896,7 @@ pub fn solverscope_profile(
             .expect("property compiles");
         attach_telemetry(&mut fuzzer, task);
         let result = fuzzer.run();
+        fuzzer.telemetry().emit_settle_metrics();
         fuzzer.emit_solver_metrics();
         fuzzer.telemetry().flush();
         result
@@ -938,8 +912,6 @@ pub fn solverscope_profile(
                 crate::pool::merge_solver_profiles(slice.iter().map(|r| &r.solver_profile));
             let solver_cache =
                 crate::pool::merge_solver_caches(slice.iter().map(|r| r.solver_cache.as_ref()));
-            let portfolio =
-                crate::pool::merge_portfolios(slice.iter().map(|r| r.portfolio.as_ref()));
             // Join: a goal counts as exhausted when any attempt hit the
             // budget ceiling; it counts as attributed when its scope
             // row carries a non-empty blame set.
@@ -966,7 +938,6 @@ pub fn solverscope_profile(
                 scope,
                 profile,
                 solver_cache,
-                portfolio,
             }
         })
         .collect()
@@ -1017,11 +988,6 @@ pub struct SolverCacheResult {
     pub geomean_conflict_ratio_milli: u64,
     /// The warm arm's bitblast-cache block.
     pub cache: SolverCacheBlock,
-    /// Reserved: the fixed sweep never races budget profiles (that
-    /// would change the conflict accounting under test), so this stays
-    /// `None`; campaign-level portfolio wins are reported by
-    /// `solverscope` and the budget table instead.
-    pub portfolio: Option<PortfolioBlock>,
 }
 
 /// Runs one design's cold-vs-warm sweep: the identical query sequence
@@ -1163,7 +1129,6 @@ fn sweep_solver_ab(
                 .checked_div(stats.goals)
                 .unwrap_or(0),
         },
-        portfolio: None,
     }
 }
 

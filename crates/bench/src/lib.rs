@@ -34,7 +34,7 @@
 //! recorder's `--sample-every N` / `--flight-out PATH` /
 //! `--status-out PATH` (see [`monitor`]), and the incremental-solver
 //! knobs `--incremental` / `--solver-cache-budget BYTES` /
-//! `--portfolio N` / `--affinity`; all are handled by
+//! `--affinity`; all are handled by
 //! [`args::parse_bench_args`].
 //!
 //! # Examples
@@ -64,17 +64,17 @@ pub use covreport::{
 };
 pub use experiments::{
     affinity, budget_profile, coverage_race, detection_matrix, enable_tracing, flush_trace,
-    incremental, introspection, portfolio, sampling, set_affinity, set_incremental,
-    set_introspection, set_portfolio, set_sampling, set_solver_budget, set_solver_cache_budget,
-    solver_cache_budget, solvercache_profile, solverscope_profile, table1_rows, table3_rows,
-    tracing_enabled, variance_profile, BudgetProfileRow, DetectionRow, RaceResult,
-    ScopeProfileResult, SolverCacheResult, SolverCacheRow, Table1Row, Table3Row, VariancePoint,
+    incremental, introspection, sampling, set_affinity, set_incremental, set_introspection,
+    set_sampling, set_solver_budget, set_solver_cache_budget, solver_cache_budget,
+    solvercache_profile, solverscope_profile, table1_rows, table3_rows, tracing_enabled,
+    variance_profile, BudgetProfileRow, DetectionRow, RaceResult, ScopeProfileResult,
+    SolverCacheResult, SolverCacheRow, Table1Row, Table3Row, VariancePoint,
 };
 pub use monitor::{
     check_flight, check_status, parse_prometheus, render_dashboard, render_prometheus,
 };
 pub use pool::{
-    default_jobs, merge_covmap_counts, merge_flight_rows, merge_portfolios, merge_solver_caches,
+    default_jobs, merge_covmap_counts, merge_flight_rows, merge_solver_caches,
     merge_solver_profiles, merge_solver_scopes, merge_telemetry, merge_vm_profiles, parse_jobs,
     run_pool,
 };

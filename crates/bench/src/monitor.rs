@@ -549,8 +549,10 @@ mod tests {
         // campaign above runs with `incremental_solving` on).
         value("symbfuzz_bitblast_cache_hits_total");
         value("symbfuzz_bitblast_cache_misses_total");
-        value("symbfuzz_portfolio_races_won_total");
         value("symbfuzz_gauge_solver_session_reuse_milli");
+        // The runtime witness oracle is exported too, and a correct
+        // solver never misses.
+        assert_eq!(value("symbfuzz_witness_misses_total"), 0);
         // Every cumulative counter in the heartbeat survives the
         // render → parse round trip with its value intact.
         for (name, v) in pairs_of(&status, "counters") {

@@ -12,8 +12,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use symbfuzz_core::{
-    CovMap, FlightRow, PortfolioBlock, SolverCacheBlock, SolverProfileBlock, SolverScopeBlock,
-    TelemetryBlock, VmProfileBlock, SOLVERSCOPE_VERSION,
+    CovMap, FlightRow, SolverCacheBlock, SolverProfileBlock, SolverScopeBlock, TelemetryBlock,
+    VmProfileBlock, SOLVERSCOPE_VERSION,
 };
 use symbfuzz_telemetry::{merge_flight, FlightSample, Mechanism, MetricsSnapshot};
 
@@ -311,21 +311,6 @@ where
     acc
 }
 
-/// Merges per-task portfolio blocks (races and per-profile wins sum,
-/// width keeps the maximum — see [`PortfolioBlock::merge`]). `None`
-/// inputs (campaigns run without racing) contribute nothing; the
-/// merge is `None` only when every input is.
-pub fn merge_portfolios<'a, I>(blocks: I) -> Option<PortfolioBlock>
-where
-    I: IntoIterator<Item = Option<&'a PortfolioBlock>>,
-{
-    let mut acc: Option<PortfolioBlock> = None;
-    for b in blocks.into_iter().flatten() {
-        acc.get_or_insert_with(PortfolioBlock::default).merge(b);
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,25 +376,6 @@ mod tests {
         // an idle task must not drag the pooled rate down).
         assert_eq!(merged.reuse_milli, 400);
         assert!(merge_solver_caches([None, None]).is_none());
-    }
-
-    #[test]
-    fn portfolios_merge_by_profile_index() {
-        let a = PortfolioBlock {
-            width: 2,
-            races: 3,
-            wins: vec![2, 1],
-        };
-        let b = PortfolioBlock {
-            width: 3,
-            races: 4,
-            wins: vec![1, 0, 3],
-        };
-        let merged = merge_portfolios([Some(&a), Some(&b), None]).unwrap();
-        assert_eq!(merged.width, 3);
-        assert_eq!(merged.races, 7);
-        assert_eq!(merged.wins, vec![3, 1, 3]);
-        assert!(merge_portfolios([None]).is_none());
     }
 
     #[test]

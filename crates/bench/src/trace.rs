@@ -270,8 +270,8 @@ pub fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonVal)>, String> {
 /// Kind of the synthetic per-span records the collector emits.
 pub const PHASE_KIND: &str = "Phase";
 
-/// Kind of the once-per-campaign settle-engine summary record
-/// (`Collector::emit_settle_metrics`).
+/// Kind of the once-per-campaign settle-engine and witness-oracle
+/// summary record (`Collector::emit_settle_metrics`).
 pub const METRICS_KIND: &str = "Metrics";
 
 /// Kind of the flight-recorder heartbeat records the sampler mirrors
@@ -279,8 +279,8 @@ pub const METRICS_KIND: &str = "Metrics";
 pub const FLIGHT_KIND: &str = "Flight";
 
 /// Kind of the once-per-campaign incremental-solver summary record
-/// (`Collector::emit_solver_cache_metrics`): bitblast-cache counters,
-/// session-reuse gauge and per-profile portfolio win tallies.
+/// (`Collector::emit_solver_cache_metrics`): bitblast-cache counters
+/// and the session-reuse gauge.
 pub const SOLVER_CACHE_KIND: &str = "SolverCache";
 
 /// The `(field, expected type)` schema of each record kind, beyond the
@@ -353,6 +353,7 @@ fn kind_schema(kind: &str) -> Option<&'static [(&'static str, &'static str)]> {
             ("settle_escapes", "number"),
             ("x_island_cones", "number"),
             ("settle_sweeps", "number"),
+            ("witness_misses", "number"),
         ]),
         FLIGHT_KIND => Some(&[
             ("interval", "number"),
@@ -368,8 +369,6 @@ fn kind_schema(kind: &str) -> Option<&'static [(&'static str, &'static str)]> {
             ("bitblast_cache_hits", "number"),
             ("bitblast_cache_misses", "number"),
             ("session_reuse_milli", "number"),
-            ("portfolio_races", "number"),
-            ("portfolio_wins", "array"),
         ]),
         _ => None,
     }
@@ -595,10 +594,34 @@ pub fn settle_mix_table(records: &[TraceRecord]) -> String {
     out
 }
 
+/// Renders the runtime witness oracle's verdict from the
+/// once-per-campaign `Metrics` records: total solver-produced replays
+/// that missed their target (expected zero) and the tasks that missed.
+/// Empty when the trace has no `Metrics` records.
+pub fn witness_summary(records: &[TraceRecord]) -> String {
+    let metrics: Vec<&TraceRecord> = records.iter().filter(|r| r.kind == METRICS_KIND).collect();
+    if metrics.is_empty() {
+        return String::new();
+    }
+    let missed: Vec<String> = metrics
+        .iter()
+        .filter(|r| r.num("witness_misses") > 0)
+        .map(|r| format!("task {}: {}", r.task, r.num("witness_misses")))
+        .collect();
+    let total: u64 = metrics.iter().map(|r| r.num("witness_misses")).sum();
+    let mut out = format!(
+        "{total} witness misses across {} campaign(s) (expected 0)\n",
+        metrics.len()
+    );
+    if !missed.is_empty() {
+        out.push_str(&format!("missed in {}\n", missed.join(", ")));
+    }
+    out
+}
+
 /// Renders the incremental-solver summary from the once-per-campaign
 /// `SolverCache` records: per-task bitblast-cache hits/misses with the
-/// hit rate, the warm-session reuse ratio, and — when the campaign
-/// raced a portfolio — per-profile win columns, plus a totals row.
+/// hit rate and the warm-session reuse ratio, plus a totals row.
 /// Empty when the trace predates the incremental solver (no
 /// `SolverCache` records).
 pub fn solver_cache_table(records: &[TraceRecord]) -> String {
@@ -617,49 +640,25 @@ pub fn solver_cache_table(records: &[TraceRecord]) -> String {
             format!("{:.1}%", 100.0 * hits as f64 / total as f64)
         }
     };
-    let profiles = rows
-        .iter()
-        .map(|r| r.arr("portfolio_wins").len())
-        .max()
-        .unwrap_or(0);
-    let mut out = String::from("| task | cache hits | misses | hit rate | session reuse | races |");
-    for i in 0..profiles {
-        out.push_str(&format!(" P{i} wins |"));
-    }
-    out.push_str("\n|---|---|---|---|---|---|");
-    out.push_str(&"---|".repeat(profiles));
-    out.push('\n');
-    let (mut th, mut tm, mut tr) = (0u64, 0u64, 0u64);
-    let mut tw = vec![0u64; profiles];
+    let mut out = String::from(
+        "| task | cache hits | misses | hit rate | session reuse |\n|---|---|---|---|---|\n",
+    );
+    let (mut th, mut tm) = (0u64, 0u64);
     for r in &rows {
         let (hits, misses) = (r.num("bitblast_cache_hits"), r.num("bitblast_cache_misses"));
-        let wins = r.arr("portfolio_wins");
         out.push_str(&format!(
-            "| {} | {hits} | {misses} | {} | {:.3} | {} |",
+            "| {} | {hits} | {misses} | {} | {:.3} |\n",
             r.task,
             rate(hits, misses),
             r.num("session_reuse_milli") as f64 / 1000.0,
-            r.num("portfolio_races"),
         ));
-        for i in 0..profiles {
-            out.push_str(&format!(" {} |", wins.get(i).copied().unwrap_or(0)));
-        }
-        out.push('\n');
         th += hits;
         tm += misses;
-        tr += r.num("portfolio_races");
-        for (dst, src) in tw.iter_mut().zip(wins) {
-            *dst += *src;
-        }
     }
     out.push_str(&format!(
-        "| **all** | {th} | {tm} | {} | — | {tr} |",
+        "| **all** | {th} | {tm} | {} | — |\n",
         rate(th, tm)
     ));
-    for w in &tw {
-        out.push_str(&format!(" {w} |"));
-    }
-    out.push('\n');
     out
 }
 
@@ -1112,9 +1111,9 @@ mod tests {
         // The exact shape `Collector::emit_settle_metrics` writes.
         let text = "\
 {\"t\":1,\"task\":0,\"kind\":\"Metrics\",\"settle_fast_path\":75,\"settle_escapes\":25,\
-\"x_island_cones\":3,\"settle_sweeps\":100}
+\"x_island_cones\":3,\"settle_sweeps\":100,\"witness_misses\":0}
 {\"t\":2,\"task\":1,\"kind\":\"Metrics\",\"settle_fast_path\":0,\"settle_escapes\":0,\
-\"x_island_cones\":0,\"settle_sweeps\":0}
+\"x_island_cones\":0,\"settle_sweeps\":0,\"witness_misses\":2}
 ";
         let recs = parse_trace(text).unwrap();
         let table = settle_mix_table(&recs);
@@ -1133,8 +1132,14 @@ mod tests {
         assert!(
             parse_line("{\"t\":1,\"task\":0,\"kind\":\"Metrics\",\"settle_fast_path\":1}").is_err()
         );
+        // The witness oracle's misses are totalled and attributed.
+        assert_eq!(
+            witness_summary(&recs),
+            "2 witness misses across 2 campaign(s) (expected 0)\nmissed in task 1: 2\n"
+        );
         // Traces without Metrics records render nothing.
         assert_eq!(settle_mix_table(&[]), "");
+        assert_eq!(witness_summary(&[]), "");
     }
 
     #[test]
@@ -1142,26 +1147,21 @@ mod tests {
         // The exact shape `Collector::emit_solver_cache_metrics` writes.
         let text = "\
 {\"t\":1,\"task\":0,\"kind\":\"SolverCache\",\"bitblast_cache_hits\":30,\
-\"bitblast_cache_misses\":10,\"session_reuse_milli\":800,\"portfolio_races\":5,\
-\"portfolio_wins\":[3,2]}
+\"bitblast_cache_misses\":10,\"session_reuse_milli\":800}
 {\"t\":2,\"task\":1,\"kind\":\"SolverCache\",\"bitblast_cache_hits\":0,\
-\"bitblast_cache_misses\":0,\"session_reuse_milli\":0,\"portfolio_races\":0,\
-\"portfolio_wins\":[]}
+\"bitblast_cache_misses\":0,\"session_reuse_milli\":0}
 ";
         let recs = parse_trace(text).unwrap();
         let table = solver_cache_table(&recs);
         assert!(
-            table.contains("| 0 | 30 | 10 | 75.0% | 0.800 | 5 | 3 | 2 |"),
+            table.contains("| 0 | 30 | 10 | 75.0% | 0.800 |\n"),
             "{table}"
         );
-        // A task with an empty wins array zero-fills the profile columns.
+        // An idle cache reports no hit rate.
+        assert!(table.contains("| 1 | 0 | 0 | - | 0.000 |\n"), "{table}");
+        // Totals sum the counters across tasks.
         assert!(
-            table.contains("| 1 | 0 | 0 | - | 0.000 | 0 | 0 | 0 |"),
-            "{table}"
-        );
-        // Totals sum counters and per-profile wins across tasks.
-        assert!(
-            table.contains("| **all** | 30 | 10 | 75.0% | — | 5 | 3 | 2 |"),
+            table.contains("| **all** | 30 | 10 | 75.0% | — |\n"),
             "{table}"
         );
         // Canonical re-serialization round-trips.
@@ -1171,11 +1171,10 @@ mod tests {
             "{\"t\":1,\"task\":0,\"kind\":\"SolverCache\",\"bitblast_cache_hits\":1}"
         )
         .is_err());
-        // A non-array wins field is a schema violation too.
+        // A non-numeric counter is a schema violation too.
         assert!(parse_line(
             "{\"t\":1,\"task\":0,\"kind\":\"SolverCache\",\"bitblast_cache_hits\":1,\
-\"bitblast_cache_misses\":1,\"session_reuse_milli\":0,\"portfolio_races\":0,\
-\"portfolio_wins\":7}"
+\"bitblast_cache_misses\":\"1\",\"session_reuse_milli\":0}"
         )
         .is_err());
         // Traces without SolverCache records render nothing.

@@ -6,9 +6,8 @@
 //! every `(state, goal, depth)` query, with the same shortest plan
 //! length on Sat (models may legitimately differ — warm sessions carry
 //! learned clauses that steer CDCL to a different witness). That must
-//! hold through mid-campaign session resets (the portfolio racer drops
-//! loser state) and under a starvation-level byte budget that evicts
-//! every session between queries.
+//! hold under LRU eviction and under a starvation-level byte budget
+//! that evicts every session between queries.
 //!
 //! Swept deterministically over the toy ALU, the goal-dense fabric and
 //! a Table-1 bug benchmark, then property-tested on the toy ALU with
@@ -105,7 +104,7 @@ fn assert_same_verdict(
 
 /// Full deterministic sweep of one design: every sampled state crossed
 /// with every goal, under an unlimited budget and an unroll-depth
-/// ceiling, with a session reset halfway through.
+/// ceiling.
 fn sweep_design(design: Arc<Design>, label: &str, cache_budget: u64) -> SymbolicEngine {
     let fresh = SymbolicEngine::new(Arc::clone(&design));
     let mut warm = SymbolicEngine::new(Arc::clone(&design));
@@ -115,7 +114,6 @@ fn sweep_design(design: Arc<Design>, label: &str, cache_budget: u64) -> Symbolic
     assert!(!regs.is_empty(), "{label}: no narrow registers to target");
     let unlimited = Budget::unlimited();
     let shallow = Budget::unlimited().with_unroll_depth(1);
-    let mut queries = 0u32;
     for (si, state) in states.iter().enumerate() {
         for &reg in &regs {
             let w = design.signal(reg).width;
@@ -141,12 +139,6 @@ fn sweep_design(design: Arc<Design>, label: &str, cache_budget: u64) -> Symbolic
                     &shallow,
                     &format!("{label} state {si} depth-1"),
                 );
-                queries += 1;
-                if queries == 8 {
-                    // The portfolio racer drops loser sessions
-                    // mid-campaign; equivalence must survive it.
-                    warm.reset_solver_cache();
-                }
             }
         }
     }

@@ -132,3 +132,47 @@ fn phase_self_times_sum_within_wall_time() {
         );
     }
 }
+
+/// The runtime witness oracle: every solver-produced replay that
+/// drains must leave its target register at the solved value. Checked
+/// on the lock (a deep two-step sequence) and on the goal-dense fabric
+/// (many budgeted goals off one shared multiplier), where the solver
+/// demonstrably steered coverage.
+#[test]
+fn witness_oracle_sees_no_misses_on_lock_and_goal_fabric() {
+    let fabric = {
+        let (prop, expr) = symbfuzz_designs::GOAL_FABRIC_PROPERTY;
+        let config = FuzzConfig::builder()
+            .interval(100)
+            .threshold(1)
+            .max_vectors(2_000)
+            .solver_budget(10_000)
+            .escalation_cap(1)
+            .build()
+            .unwrap();
+        SymbFuzz::new(
+            symbfuzz_designs::goal_fabric(),
+            Strategy::SymbFuzz,
+            config,
+            &[PropertySpec::assertion_only(prop, expr)],
+        )
+        .unwrap()
+    };
+    for (name, mut fuzzer) in [("lock", lock_fuzzer(20_000)), ("goalfabric", fabric)] {
+        let r = fuzzer.run();
+        let misses = r
+            .telemetry
+            .counters
+            .iter()
+            .find(|(k, _)| k == "witness_misses")
+            .map(|(_, n)| *n);
+        assert_eq!(misses, Some(0), "{name}");
+        assert!(
+            r.covmap
+                .nodes
+                .iter()
+                .any(|n| n.provenance.mechanism == "solver"),
+            "{name}: no solver-guided coverage, so no witness was checked"
+        );
+    }
+}

@@ -186,12 +186,6 @@ pub struct FuzzConfig {
     /// `incremental_solving`: when the cached sessions' estimated
     /// footprint exceeds this, least-recently-used frames are evicted.
     pub solver_cache_budget: u64,
-    /// Portfolio width: race this many budget profiles per solve on
-    /// scoped threads (small-budget/restart-heavy probes alongside the
-    /// full budget), first definitive answer wins under the canonical
-    /// lowest-index rule — campaign reports stay byte-identical at any
-    /// thread count. `0` disables racing; widths of 2–4 are accepted.
-    pub portfolio: u32,
     /// Affinity-ordered goal batching: reorder each guidance round's
     /// targets by structural-sketch similarity (greedy nearest-neighbor
     /// chaining over the KMV sketches) so goals sharing logic hit a
@@ -248,10 +242,6 @@ impl Deserialize for FuzzConfig {
                 Ok(f) => Deserialize::from_value(f)?,
                 Err(_) => defaults.solver_cache_budget,
             },
-            portfolio: match v.field("portfolio") {
-                Ok(f) => Deserialize::from_value(f)?,
-                Err(_) => defaults.portfolio,
-            },
             affinity_ordering: match v.field("affinity_ordering") {
                 Ok(f) => Deserialize::from_value(f)?,
                 Err(_) => defaults.affinity_ordering,
@@ -284,7 +274,6 @@ impl Default for FuzzConfig {
             solver_introspection: false,
             incremental_solving: false,
             solver_cache_budget: default_solver_cache_budget(),
-            portfolio: 0,
             affinity_ordering: false,
         }
     }
@@ -326,9 +315,6 @@ impl FuzzConfig {
         if self.solver_cache_budget < 1024 {
             return Err(ConfigError::TinySolverCacheBudget);
         }
-        if self.portfolio == 1 || self.portfolio > 4 {
-            return Err(ConfigError::BadPortfolioWidth);
-        }
         if self.affinity_ordering && !self.solver_introspection {
             return Err(ConfigError::AffinityWithoutIntrospection);
         }
@@ -363,10 +349,6 @@ pub enum ConfigError {
     /// to hold even one warm frame, so every solve would immediately
     /// evict; set `incremental_solving: false` to disable reuse.
     TinySolverCacheBudget,
-    /// `portfolio` width of 1 (a one-horse race is just the plain
-    /// solve — use 0) or above 4 (beyond the budget ladder's useful
-    /// spread).
-    BadPortfolioWidth,
     /// `affinity_ordering` without `solver_introspection`: the
     /// structural sketches the ordering keys on are only collected
     /// when introspection is enabled.
@@ -402,9 +384,6 @@ impl std::fmt::Display for ConfigError {
                 "solver_cache_budget must be at least 1024 bytes (room for one warm frame); \
                  set incremental_solving: false to disable reuse"
             ),
-            ConfigError::BadPortfolioWidth => {
-                write!(f, "portfolio width must be 0 (off) or 2..=4 profiles")
-            }
             ConfigError::AffinityWithoutIntrospection => write!(
                 f,
                 "affinity_ordering requires solver_introspection (the ordering keys on the \
@@ -540,11 +519,6 @@ impl FuzzConfigBuilder {
         solver_cache_budget: u64
     );
     setter!(
-        /// Portfolio width: race this many budget profiles per solve
-        /// (0 = off, 2..=4 accepted).
-        portfolio: u32
-    );
-    setter!(
         /// Reorder guidance targets by structural-sketch affinity
         /// (requires `solver_introspection`).
         affinity_ordering: bool
@@ -588,7 +562,6 @@ mod tests {
                     && k != "solver_introspection"
                     && k != "incremental_solving"
                     && k != "solver_cache_budget"
-                    && k != "portfolio"
                     && k != "affinity_ordering"
             })
             .collect();
@@ -598,22 +571,24 @@ mod tests {
         assert!(!back.solver_introspection);
         assert!(!back.incremental_solving);
         assert_eq!(back.solver_cache_budget, 16 * 1024 * 1024);
-        assert_eq!(back.portfolio, 0);
         assert!(!back.affinity_ordering);
     }
 
     #[test]
-    fn configs_with_the_retired_snapshot_cap_key_still_load() {
+    fn configs_with_retired_keys_still_load() {
         // snapshot_cap was removed with the deprecated count-bound
-        // shims; configs serialized while it existed carry the key and
-        // must still deserialize (the field is simply ignored).
-        let v = Serialize::to_value(&FuzzConfig::default());
-        let serde::Value::Object(mut fields) = v else {
-            panic!("config serializes to an object")
-        };
-        fields.push(("snapshot_cap".to_string(), serde::Value::Num(256.0)));
-        let back = FuzzConfig::from_value(&serde::Value::Object(fields)).unwrap();
-        assert_eq!(back, FuzzConfig::default());
+        // shims, portfolio with budget-ladder racing; configs
+        // serialized while they existed carry the keys and must still
+        // deserialize (the fields are simply ignored).
+        for (key, value) in [("snapshot_cap", 256.0), ("portfolio", 2.0)] {
+            let v = Serialize::to_value(&FuzzConfig::default());
+            let serde::Value::Object(mut fields) = v else {
+                panic!("config serializes to an object")
+            };
+            fields.push((key.to_string(), serde::Value::Num(value)));
+            let back = FuzzConfig::from_value(&serde::Value::Object(fields)).unwrap();
+            assert_eq!(back, FuzzConfig::default(), "legacy key {key}");
+        }
     }
 
     #[test]
@@ -715,17 +690,6 @@ mod tests {
             .build()
             .is_ok());
         assert_eq!(
-            FuzzConfig::builder().portfolio(1).build().unwrap_err(),
-            ConfigError::BadPortfolioWidth
-        );
-        assert_eq!(
-            FuzzConfig::builder().portfolio(5).build().unwrap_err(),
-            ConfigError::BadPortfolioWidth
-        );
-        for w in [0u32, 2, 3, 4] {
-            assert!(FuzzConfig::builder().portfolio(w).build().is_ok());
-        }
-        assert_eq!(
             FuzzConfig::builder()
                 .affinity_ordering(true)
                 .build()
@@ -747,7 +711,6 @@ mod tests {
             ConfigError::ZeroSampleEvery,
             ConfigError::TinySnapshotBudget,
             ConfigError::TinySolverCacheBudget,
-            ConfigError::BadPortfolioWidth,
             ConfigError::AffinityWithoutIntrospection,
         ] {
             assert!(!e.to_string().is_empty());

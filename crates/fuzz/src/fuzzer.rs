@@ -4,14 +4,12 @@ use crate::config::{FuzzConfig, Strategy};
 use crate::mutate::{Granularity, Mutator};
 use crate::report::{
     BugRecord, CampaignResult, CovMap, CoverageSample, EdgeCov, FlightRow, FrontierRow, GoalCov,
-    NodeCov, PortfolioBlock, PropertySpec, ProvenanceRecord, ResourceStats, ScopeCollector,
-    SolverCacheBlock, SolverProfileBlock, SolverScopeBlock, TelemetryBlock, VmProfileBlock,
-    COVMAP_VERSION,
+    NodeCov, PropertySpec, ProvenanceRecord, ResourceStats, ScopeCollector, SolverCacheBlock,
+    SolverProfileBlock, SolverScopeBlock, TelemetryBlock, VmProfileBlock, COVMAP_VERSION,
 };
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::Path;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use symbfuzz_cfgx::{Cfg, NodeId, Provenance};
 use symbfuzz_logic::LogicVec;
@@ -19,11 +17,8 @@ use symbfuzz_netlist::{classify_registers, Design, SignalId};
 use symbfuzz_props::{PropError, Property, PropertyChecker};
 use symbfuzz_ruvm::{Driver, SequenceItem, Sequencer};
 use symbfuzz_sim::{Reentry, Simulator, SnapshotId, SnapshotStore};
-use symbfuzz_smt::{budget_ladder, race, Budget, Runner};
-use symbfuzz_symexec::{
-    sketch_jaccard_milli, GoalScope, ReachError, ReachOutcome, ReachStats, SolveProfiler,
-    SolverCacheStats, SymbolicEngine,
-};
+use symbfuzz_smt::Budget;
+use symbfuzz_symexec::{sketch_jaccard_milli, ReachOutcome, SolveProfiler, SymbolicEngine};
 use symbfuzz_telemetry::{
     Collector, Counter, Event, Gauge, Mechanism, Phase, SampleState, Sampler, SolveStatus,
 };
@@ -88,6 +83,11 @@ pub struct SymbFuzz {
     /// Goal id behind the replay items currently queued in the
     /// sequencer (solver-guided words), cleared once the queue drains.
     current_goal: Option<u64>,
+    /// Runtime witness oracle: the register and solved value the
+    /// queued solver-produced replay must leave behind. Checked when
+    /// the queue drains; dropped when a rollback or reset moves the
+    /// simulator off the solved trajectory.
+    witness: Option<(SignalId, LogicVec)>,
     /// Every symbolic solve attempt, in order; provenance goal ids
     /// index this log.
     goals: Vec<GoalAttempt>,
@@ -121,13 +121,6 @@ pub struct SymbFuzz {
     /// Per-goal CDCL introspection scopes (collected only when
     /// `config.solver_introspection` is on).
     scope_collector: ScopeCollector,
-    /// One telemetry-detached engine per portfolio budget profile
-    /// (built lazily on the first race; empty when `portfolio` is 0).
-    portfolio_engines: Vec<SymbolicEngine>,
-    /// Races won per profile index (canonical lowest-index winner).
-    portfolio_wins: Vec<u64>,
-    /// Portfolio races run.
-    portfolio_races: u64,
 }
 
 impl SymbFuzz {
@@ -201,6 +194,7 @@ impl SymbFuzz {
             solve_tally: [0; SolveStatus::SERIAL_COUNT],
             active_checkpoint: None,
             current_goal: None,
+            witness: None,
             goals: Vec::new(),
             twostate_nodes: HashSet::new(),
             vectors: 0,
@@ -219,9 +213,6 @@ impl SymbFuzz {
             design,
             strategy,
             sampler: config.sample_every.map(Sampler::new),
-            portfolio_engines: Vec::new(),
-            portfolio_wins: vec![0; config.portfolio as usize],
-            portfolio_races: 0,
             config,
             telemetry,
             solve_profiler: SolveProfiler::new(),
@@ -289,14 +280,12 @@ impl SymbFuzz {
     }
 
     /// Streams the once-per-campaign `SolverCache` trace record: the
-    /// bitblast-cache hit/miss counters, the session-reuse gauge and
-    /// the per-profile portfolio win tallies. No-op when both the
-    /// incremental-solver features are off or no trace sink is
+    /// bitblast-cache hit/miss counters and the session-reuse gauge.
+    /// No-op when incremental solving is off or no trace sink is
     /// attached.
     pub fn emit_solver_metrics(&self) {
-        if self.config.incremental_solving || self.config.portfolio >= 2 {
-            self.telemetry
-                .emit_solver_cache_metrics(self.portfolio_races, &self.portfolio_wins);
+        if self.config.incremental_solving {
+            self.telemetry.emit_solver_cache_metrics();
         }
     }
 
@@ -480,24 +469,12 @@ impl SymbFuzz {
             solver_profile: SolverProfileBlock::from(&self.solve_profiler),
             solver_scope,
             solver_cache: self.config.incremental_solving.then(|| {
-                // The main engine and every portfolio engine keep
-                // their own caches; the report sums them (all figures
-                // are deterministic, so the sum is too).
-                let mut total = SolverCacheStats::default();
-                let engines = self.engine.iter().chain(self.portfolio_engines.iter());
-                for s in engines.map(|e| e.cache_stats()) {
-                    total.frame_hits += s.frame_hits;
-                    total.frame_misses += s.frame_misses;
-                    total.evictions += s.evictions;
-                    total.goals += s.goals;
-                    total.reused_goals += s.reused_goals;
-                }
-                SolverCacheBlock::from(total)
-            }),
-            portfolio: (self.config.portfolio >= 2).then(|| PortfolioBlock {
-                width: self.config.portfolio,
-                races: self.portfolio_races,
-                wins: self.portfolio_wins.clone(),
+                SolverCacheBlock::from(
+                    self.engine
+                        .as_ref()
+                        .map(SymbolicEngine::cache_stats)
+                        .unwrap_or_default(),
+                )
             }),
         }
     }
@@ -641,6 +618,9 @@ impl SymbFuzz {
             let _settle = telemetry.phase_owned(Phase::Settle);
             self.driver
                 .drive(&mut self.sim, &SequenceItem::new(word.clone()));
+            if mechanism == Mechanism::SolverGuided && self.sequencer.replay_len() == 0 {
+                self.check_witness();
+            }
             let outcome = self
                 .cfg
                 .observe(self.sim.values(), &word, self.sim.cycle(), prov);
@@ -764,7 +744,19 @@ impl SymbFuzz {
         self.checker.reset_history();
         self.resources.full_resets += 1;
         self.active_checkpoint = None;
+        self.witness = None;
         telemetry.record(Event::FullReset);
+    }
+
+    /// The runtime witness oracle: a drained solver-produced replay
+    /// must have driven its target register to the solved value. A
+    /// miss means the solver's model and the simulator disagree.
+    fn check_witness(&mut self) {
+        if let Some((reg, value)) = self.witness.take() {
+            if self.sim.get(reg) != &value {
+                self.telemetry.add(Counter::WitnessMisses, 1);
+            }
+        }
     }
 
     /// The paper's symbolic step: find the nearest checkpoint with
@@ -918,96 +910,6 @@ impl SymbFuzz {
         *targets = reordered;
     }
 
-    /// Races one reachability query across `config.portfolio` budget
-    /// profiles ([`budget_ladder`]) on scoped threads, one
-    /// telemetry-detached engine per profile. The canonical winner is
-    /// the lowest profile index with a definitive answer (a loser can
-    /// only be aborted by a lower-indexed definitive profile, so the
-    /// winner always ran its deterministic budget to completion —
-    /// reports stay byte-identical at any thread count). Engines above
-    /// the winner may have been interrupted mid-solve and have their
-    /// cached solver state discarded; the winner's work is accounted to
-    /// telemetry post-hoc.
-    #[allow(clippy::type_complexity)]
-    fn race_solve(
-        &mut self,
-        reg: SignalId,
-        value: LogicVec,
-        budget: &Budget,
-    ) -> Result<(ReachOutcome, ReachStats, Option<GoalScope>), ReachError> {
-        let _span = self.telemetry.phase_owned(Phase::Solve);
-        let width = self.config.portfolio as usize;
-        while self.portfolio_engines.len() < width {
-            let mut e = SymbolicEngine::new(Arc::clone(&self.design));
-            if self.config.incremental_solving {
-                e.set_solver_cache(Some(self.config.solver_cache_budget));
-            }
-            self.portfolio_engines.push(e);
-        }
-        let ladder = budget_ladder(budget, self.config.portfolio);
-        let introspect = self.config.solver_introspection;
-        let depth = self.config.solve_depth;
-        let out = {
-            let state = self.sim.values();
-            type Raced = Result<(ReachOutcome, ReachStats, Option<GoalScope>), ReachError>;
-            let runners: Vec<Runner<'_, Raced>> = self.portfolio_engines[..width]
-                .iter_mut()
-                .zip(ladder)
-                .map(|(engine, rung)| {
-                    let value = value.clone();
-                    let runner = move |flag: &Arc<AtomicBool>| {
-                        let b = rung.with_abort(Arc::clone(flag));
-                        if introspect {
-                            engine
-                                .solve_reach_introspected(state, &[(reg, value)], depth, &b)
-                                .map(|(outcome, stats, scope)| (outcome, stats, Some(scope)))
-                        } else {
-                            engine
-                                .solve_reach_profiled(state, &[(reg, value)], depth, &b)
-                                .map(|(outcome, stats)| (outcome, stats, None))
-                        }
-                    };
-                    Box::new(runner) as Runner<'_, _>
-                })
-                .collect();
-            race(runners, |r| {
-                // Sat and Unsat settle the query; an exhausted budget
-                // (including a cooperative abort) does not. A pose
-                // error is decided before any solving and is identical
-                // across profiles.
-                !matches!(r, Ok((ReachOutcome::Exhausted { .. }, _, _)))
-            })
-        };
-        // No definitive profile: every rung exhausted un-aborted, so
-        // the full-budget profile (the last) is the canonical answer —
-        // the same verdict and spend the solo path would report.
-        let winner = out.winner.unwrap_or(width - 1);
-        for e in &self.portfolio_engines[winner + 1..width] {
-            e.reset_solver_cache();
-        }
-        self.portfolio_races += 1;
-        self.portfolio_wins[winner] += 1;
-        self.telemetry.add(Counter::PortfolioRacesWon, 1);
-        let result = out
-            .results
-            .into_iter()
-            .nth(winner)
-            .flatten()
-            .expect("racers do not panic");
-        if let Ok((_, stats, _)) = &result {
-            // The racers run telemetry-detached (loser event streams
-            // depend on abort timing); charge the winner's
-            // deterministic work to the campaign counters here.
-            self.telemetry
-                .add(Counter::SolverCalls, stats.solver_calls as u64);
-            self.telemetry
-                .add(Counter::SatConflicts, stats.spent.conflicts);
-            self.telemetry
-                .add(Counter::SatDecisions, stats.spent.decisions);
-        }
-        result
-    }
-
     /// Attempts to solve for any unseen control-register value from the
     /// simulator's current state; on success queues the input sequence.
     ///
@@ -1052,9 +954,7 @@ impl SymbFuzz {
                 }
                 tried += 1;
                 self.resources.solver_calls += 1;
-                let result = if self.config.portfolio >= 2 {
-                    self.race_solve(reg, value, &budget)
-                } else {
+                let result = {
                     let _span = self.telemetry.phase_owned(Phase::Solve);
                     let engine = self.engine.as_ref().expect("checked above");
                     if self.config.solver_introspection {
@@ -1103,6 +1003,8 @@ impl SymbFuzz {
                             .map(|a| SequenceItem::new(a.to_word(&self.design)));
                         self.sequencer.clear_replay();
                         self.sequencer.push_replay(items);
+                        let (_, _, solved) = key;
+                        self.witness = Some((reg, solved));
                         self.escalation = 0;
                         self.telemetry.set_gauge(Gauge::EscalationLevel, 0);
                         // Words drawn from this replay queue are
@@ -1221,6 +1123,7 @@ impl SymbFuzz {
         let telemetry = Arc::clone(&self.telemetry);
         let _span = telemetry.phase_owned(Phase::Reset);
         self.resources.rollbacks += 1;
+        self.witness = None;
         let ancestor = if self.config.use_ancestor_reentry {
             self.cfg
                 .nearest_ancestor(node, self.snap_order.iter().copied())
@@ -1957,15 +1860,6 @@ mod tests {
         .unwrap();
         let r = f.run();
         assert!(r.solver_cache.is_none());
-        assert!(r.portfolio.is_none());
-        let races = r
-            .telemetry
-            .counters
-            .iter()
-            .find(|(k, _)| k == "portfolio_races_won")
-            .map(|(_, n)| *n)
-            .unwrap_or(0);
-        assert_eq!(races, 0);
     }
 
     #[test]
@@ -2006,72 +1900,72 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_racing_is_deterministic_and_cracks_the_lock() {
+    fn all_solver_features_compose_deterministically() {
         let d = lock_design();
-        let cfg = FuzzConfig::builder()
-            .interval(32)
-            .threshold(1)
-            .max_vectors(20_000)
-            .solver_budget(50_000)
-            .portfolio(3)
-            .build()
-            .unwrap();
-        let mut f = SymbFuzz::new(
-            Arc::clone(&d),
-            Strategy::SymbFuzz,
-            cfg.clone(),
-            &lock_props(),
-        )
-        .unwrap();
-        let r = f.run();
-        assert!(r.detected("never_open"), "coverage {}", r.coverage_points);
-        let p = r.portfolio.as_ref().expect("portfolio was on");
-        assert_eq!(p.width, 3);
-        assert_eq!(p.wins.len(), 3);
-        assert!(p.races >= 1);
-        assert_eq!(p.wins.iter().sum::<u64>(), p.races);
-        let races = r
-            .telemetry
-            .counters
-            .iter()
-            .find(|(k, _)| k == "portfolio_races_won")
-            .map(|(_, n)| *n)
-            .unwrap_or(0);
-        assert_eq!(races, p.races);
-        // The canonical lowest-index winner rule makes the whole
-        // report a pure function of the seed, threads notwithstanding.
-        let mut g = SymbFuzz::new(Arc::clone(&d), Strategy::SymbFuzz, cfg, &lock_props()).unwrap();
-        assert_eq!(r, g.run());
+        // Every valid combination: incremental on/off crossed with
+        // introspection and affinity off, introspection alone, or both
+        // (affinity without introspection is rejected by validation).
+        for incremental in [false, true] {
+            for (introspect, affinity) in [(false, false), (true, false), (true, true)] {
+                let cfg = FuzzConfig::builder()
+                    .interval(32)
+                    .threshold(1)
+                    .max_vectors(20_000)
+                    .solver_budget(50_000)
+                    .incremental_solving(incremental)
+                    .solver_introspection(introspect)
+                    .affinity_ordering(affinity)
+                    .build()
+                    .unwrap();
+                let combo = format!(
+                    "incremental={incremental} introspection={introspect} affinity={affinity}"
+                );
+                let mut f = SymbFuzz::new(
+                    Arc::clone(&d),
+                    Strategy::SymbFuzz,
+                    cfg.clone(),
+                    &lock_props(),
+                )
+                .unwrap();
+                let r = f.run();
+                assert!(
+                    r.detected("never_open"),
+                    "{combo}: coverage {}",
+                    r.coverage_points
+                );
+                assert_eq!(r.solver_cache.is_some(), incremental, "{combo}");
+                assert_eq!(r.solver_scope.is_some(), introspect, "{combo}");
+                let mut g =
+                    SymbFuzz::new(Arc::clone(&d), Strategy::SymbFuzz, cfg, &lock_props()).unwrap();
+                assert_eq!(r, g.run(), "{combo}: reports differ between runs");
+            }
+        }
     }
 
     #[test]
-    fn all_solver_features_compose_deterministically() {
+    fn witness_oracle_counts_a_replay_that_misses_its_target() {
         let d = lock_design();
-        let cfg = FuzzConfig::builder()
-            .interval(32)
-            .threshold(1)
-            .max_vectors(20_000)
-            .solver_budget(50_000)
-            .incremental_solving(true)
-            .portfolio(2)
-            .solver_introspection(true)
-            .affinity_ordering(true)
-            .build()
-            .unwrap();
         let mut f = SymbFuzz::new(
             Arc::clone(&d),
             Strategy::SymbFuzz,
-            cfg.clone(),
+            small_cfg(1),
             &lock_props(),
         )
         .unwrap();
+        // A one-word "solved" replay that cannot unlock from reset:
+        // the drained queue leaves `st` at 0, not the claimed 2.
+        let st = d.signal_by_name("st").unwrap();
+        f.sequencer_mut()
+            .push_replay([SequenceItem::new(LogicVec::zeros(d.fuzz_width()))]);
+        f.witness = Some((st, LogicVec::from_u64(2, 2)));
         let r = f.run();
-        assert!(r.detected("never_open"), "coverage {}", r.coverage_points);
-        assert!(r.solver_cache.is_some());
-        assert!(r.portfolio.is_some());
-        assert!(r.solver_scope.is_some());
-        let mut g = SymbFuzz::new(Arc::clone(&d), Strategy::SymbFuzz, cfg, &lock_props()).unwrap();
-        assert_eq!(r, g.run());
+        let misses = r
+            .telemetry
+            .counters
+            .iter()
+            .find(|(k, _)| k == "witness_misses")
+            .map(|(_, n)| *n);
+        assert_eq!(misses, Some(1));
     }
 
     #[test]

@@ -945,43 +945,12 @@ impl From<SolverCacheStats> for SolverCacheBlock {
     }
 }
 
-/// The portfolio-racing section of a campaign report: how many races
-/// ran and which budget profile won each, by profile index (profile 0
-/// is the cheapest restart-heavy probe, the last profile carries the
-/// full budget). Present only when `portfolio >= 2`. The canonical
-/// lowest-index winner rule keeps every figure byte-identical at any
-/// thread count.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct PortfolioBlock {
-    /// Profiles raced per solve.
-    pub width: u32,
-    /// Races run (one per budgeted reachability query).
-    pub races: u64,
-    /// Wins per profile index (`wins.len() == width`).
-    pub wins: Vec<u64>,
-}
-
-impl PortfolioBlock {
-    /// Merges another block (pool aggregation across campaigns):
-    /// races and per-profile wins sum; width keeps the maximum, with
-    /// shorter win vectors zero-extended.
-    pub fn merge(&mut self, other: &PortfolioBlock) {
-        self.width = self.width.max(other.width);
-        self.races += other.races;
-        if self.wins.len() < other.wins.len() {
-            self.wins.resize(other.wins.len(), 0);
-        }
-        for (a, b) in self.wins.iter_mut().zip(&other.wins) {
-            *a += b;
-        }
-    }
-}
-
 /// The outcome of one fuzzing campaign.
 ///
 /// `Deserialize` is hand-written so reports serialized before the
-/// incremental-solver release (no `solver_cache` / `portfolio` keys)
-/// still load, taking `None`.
+/// incremental-solver release (no `solver_cache` key) still load,
+/// taking `None`, and reports from the budget-ladder racing era (a
+/// `portfolio` key) load with the retired section ignored.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CampaignResult {
     /// Strategy name.
@@ -1029,8 +998,6 @@ pub struct CampaignResult {
     /// Incremental-solver cache section (present only when
     /// `incremental_solving` was on).
     pub solver_cache: Option<SolverCacheBlock>,
-    /// Portfolio-racing section (present only when `portfolio >= 2`).
-    pub portfolio: Option<PortfolioBlock>,
 }
 
 impl Deserialize for CampaignResult {
@@ -1055,10 +1022,6 @@ impl Deserialize for CampaignResult {
             solver_profile: Deserialize::from_value(v.field("solver_profile")?)?,
             solver_scope: Deserialize::from_value(v.field("solver_scope")?)?,
             solver_cache: match v.field("solver_cache") {
-                Ok(f) => Deserialize::from_value(f)?,
-                Err(_) => None,
-            },
-            portfolio: match v.field("portfolio") {
                 Ok(f) => Deserialize::from_value(f)?,
                 Err(_) => None,
             },
@@ -1130,14 +1093,13 @@ mod tests {
             solver_profile: SolverProfileBlock::default(),
             solver_scope: None,
             solver_cache: None,
-            portfolio: None,
         };
         assert_eq!(r.vectors_to_reach(30), Some(50));
         assert_eq!(r.vectors_to_reach(51), None);
         assert!(!r.detected("p"));
         // Round-trips, and reports serialized before the
-        // incremental-solver release (no solver_cache / portfolio
-        // keys) still load with both sections absent.
+        // incremental-solver release (no solver_cache key) still load
+        // with the section absent.
         let j = serde_json::to_string(&r).unwrap();
         assert_eq!(serde_json::from_str::<CampaignResult>(&j).unwrap(), r);
         let serde::Value::Object(fields) = Serialize::to_value(&r) else {
@@ -1145,10 +1107,35 @@ mod tests {
         };
         let stripped: Vec<(String, serde::Value)> = fields
             .into_iter()
-            .filter(|(k, _)| k != "solver_cache" && k != "portfolio")
+            .filter(|(k, _)| k != "solver_cache")
             .collect();
         let back = CampaignResult::from_value(&serde::Value::Object(stripped)).unwrap();
         assert_eq!(back, r);
+        // Reports from the budget-ladder racing era carry a portfolio
+        // block and an `unknown:aborted` tally: they still load, the
+        // retired block ignored and the tally kept verbatim.
+        let legacy = j
+            .replace(
+                "\"solve_outcomes\":[]",
+                "\"solve_outcomes\":[[\"sat\",1],[\"unknown:aborted\",2]]",
+            )
+            .replace(
+                "\"solver_cache\":null",
+                "\"solver_cache\":null,\"portfolio\":{\"width\":2,\"races\":3,\"wins\":[1,2]}",
+            );
+        assert!(legacy.contains("\"portfolio\":{") && legacy.contains("unknown:aborted"));
+        let back = serde_json::from_str::<CampaignResult>(&legacy).unwrap();
+        assert_eq!(
+            back.solve_outcomes,
+            vec![("sat".to_string(), 1), ("unknown:aborted".to_string(), 2)]
+        );
+        assert_eq!(
+            CampaignResult {
+                solve_outcomes: vec![],
+                ..back
+            },
+            r
+        );
     }
 
     #[test]
@@ -1167,26 +1154,6 @@ mod tests {
         assert_eq!(SolverCacheBlock::default().hit_rate_milli(), 0);
         let j = serde_json::to_string(&block).unwrap();
         assert_eq!(serde_json::from_str::<SolverCacheBlock>(&j).unwrap(), block);
-    }
-
-    #[test]
-    fn portfolio_block_merges_by_profile_index() {
-        let mut a = PortfolioBlock {
-            width: 2,
-            races: 5,
-            wins: vec![3, 2],
-        };
-        let b = PortfolioBlock {
-            width: 3,
-            races: 4,
-            wins: vec![1, 0, 3],
-        };
-        a.merge(&b);
-        assert_eq!(a.width, 3);
-        assert_eq!(a.races, 9);
-        assert_eq!(a.wins, vec![4, 2, 3]);
-        let j = serde_json::to_string(&a).unwrap();
-        assert_eq!(serde_json::from_str::<PortfolioBlock>(&j).unwrap(), a);
     }
 
     #[test]

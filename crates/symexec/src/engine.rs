@@ -366,16 +366,6 @@ impl SymbolicEngine {
             .unwrap_or_default()
     }
 
-    /// Drops every warm session but keeps the cache armed and its
-    /// cumulative statistics. Used by the portfolio racer to discard
-    /// the (nondeterministically aborted) solver state of losing
-    /// profiles.
-    pub fn reset_solver_cache(&self) {
-        if let Some(c) = self.cache.borrow_mut().as_mut() {
-            c.sessions.clear();
-        }
-    }
-
     /// A structural digest of the design's dependency equations: the
     /// design half of the frame-cache key. Two engines over the same
     /// elaborated design agree; any change to an equation changes it.
@@ -2080,7 +2070,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_eviction_and_reset_preserve_verdicts() {
+    fn cache_eviction_preserves_verdicts() {
         let mut e = engine(FSM, "fsm");
         // A budget far below one session's footprint: every call seeds,
         // solves, then evicts — correct, just never warm.
@@ -2099,26 +2089,6 @@ mod tests {
             assert!(matches!(out, ReachOutcome::Reached(_)), "state {val}");
         }
         assert!(e.cache_stats().evictions > 0, "{:?}", e.cache_stats());
-        // Explicit reset mid-campaign: verdicts unchanged after.
-        e.set_solver_cache(Some(16 << 20));
-        let before = e
-            .solve_reach_budgeted(
-                &zero_state(&d),
-                &[(st, LogicVec::from_u64(3, 3))],
-                4,
-                &Budget::unlimited(),
-            )
-            .unwrap();
-        e.reset_solver_cache();
-        let after = e
-            .solve_reach_budgeted(
-                &zero_state(&d),
-                &[(st, LogicVec::from_u64(3, 3))],
-                4,
-                &Budget::unlimited(),
-            )
-            .unwrap();
-        assert_eq!(before.status(), after.status());
     }
 
     #[test]

@@ -69,9 +69,11 @@ pub enum Counter {
     /// Unrolled frames blasted fresh because the cache had no session
     /// at that depth (or caching is off).
     BitblastCacheMisses,
-    /// Portfolio races where a profile returned a definitive verdict
-    /// (the canonical winner was Sat or Unsat, not Unknown).
-    PortfolioRacesWon,
+    /// Solver-produced replay sequences that drained without leaving
+    /// their target register at the solved value (expected zero: a
+    /// nonzero count means a solver model disagrees with the
+    /// simulator).
+    WitnessMisses,
 }
 
 impl Counter {
@@ -104,7 +106,7 @@ impl Counter {
         Counter::CoreExtractions,
         Counter::BitblastCacheHits,
         Counter::BitblastCacheMisses,
-        Counter::PortfolioRacesWon,
+        Counter::WitnessMisses,
     ];
 
     /// Stable snake_case name used in snapshots and reports.
@@ -134,7 +136,7 @@ impl Counter {
             Counter::CoreExtractions => "core_extractions",
             Counter::BitblastCacheHits => "bitblast_cache_hits",
             Counter::BitblastCacheMisses => "bitblast_cache_misses",
-            Counter::PortfolioRacesWon => "portfolio_races_won",
+            Counter::WitnessMisses => "witness_misses",
         }
     }
 
@@ -434,7 +436,8 @@ impl Collector {
     /// Streams one `Metrics` summary record to the sink: the
     /// compiled-settle fast-path counters alongside the settle-sweep
     /// total, so `tracedump` can show the fast-path hit rate per
-    /// campaign. Call once at campaign end.
+    /// campaign, plus the runtime witness-oracle miss count. Call once
+    /// at campaign end.
     pub fn emit_settle_metrics(&self) {
         let mut sink = self.sink.lock().unwrap();
         if !sink.enabled() {
@@ -442,35 +445,29 @@ impl Collector {
         }
         let t = self.clock.now_micros();
         let line = format!(
-            "{{\"t\":{t},\"task\":{},\"kind\":\"Metrics\",\"settle_fast_path\":{},\"settle_escapes\":{},\"x_island_cones\":{},\"settle_sweeps\":{}}}",
+            "{{\"t\":{t},\"task\":{},\"kind\":\"Metrics\",\"settle_fast_path\":{},\"settle_escapes\":{},\"x_island_cones\":{},\"settle_sweeps\":{},\"witness_misses\":{}}}",
             self.task.load(Ordering::Relaxed),
             self.get(Counter::SettleFastPath),
             self.get(Counter::SettleEscapes),
             self.gauge(Gauge::XIslandCones),
             self.get(Counter::SettleSweeps),
+            self.get(Counter::WitnessMisses),
         );
         sink.write_line(&line);
     }
 
     /// Streams one `SolverCache` summary record to the sink: the
-    /// bitblast-cache hit/miss counters, the session-reuse gauge and
-    /// the portfolio race tallies (`races` races decided, `wins[i]`
-    /// won by budget profile `i`), so `tracedump` can report the
-    /// cache hit rate and per-profile win columns. Call once at
+    /// bitblast-cache hit/miss counters and the session-reuse gauge,
+    /// so `tracedump` can report the cache hit rate. Call once at
     /// campaign end; no-op when no sink is attached.
-    pub fn emit_solver_cache_metrics(&self, races: u64, wins: &[u64]) {
+    pub fn emit_solver_cache_metrics(&self) {
         let mut sink = self.sink.lock().unwrap();
         if !sink.enabled() {
             return;
         }
         let t = self.clock.now_micros();
-        let wins = wins
-            .iter()
-            .map(|w| w.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
         let line = format!(
-            "{{\"t\":{t},\"task\":{},\"kind\":\"SolverCache\",\"bitblast_cache_hits\":{},\"bitblast_cache_misses\":{},\"session_reuse_milli\":{},\"portfolio_races\":{races},\"portfolio_wins\":[{wins}]}}",
+            "{{\"t\":{t},\"task\":{},\"kind\":\"SolverCache\",\"bitblast_cache_hits\":{},\"bitblast_cache_misses\":{},\"session_reuse_milli\":{}}}",
             self.task.load(Ordering::Relaxed),
             self.get(Counter::BitblastCacheHits),
             self.get(Counter::BitblastCacheMisses),
