@@ -1,9 +1,7 @@
 //! Criterion microbenchmarks backing the paper's performance claims:
 //!
 //! * simulator throughput (the substrate for all vector counts);
-//! * step and settle throughput under the compiled word-level VM vs
-//!   the levelized scheduler vs the original global fixpoint (the
-//!   simulation tentpoles' A/B/C);
+//! * step and settle throughput of the compiled word-level VM;
 //! * netlist-to-bytecode compile time (the compiled kernel's one-off
 //!   construction cost, paid once per `Simulator::new`);
 //! * checkpoint snapshot-restore vs full reset + input replay — the
@@ -17,7 +15,7 @@ use std::sync::Arc;
 use symbfuzz_designs::processor_benchmarks;
 use symbfuzz_logic::LogicVec;
 use symbfuzz_netlist::{comb_schedule, compile, CompileOpts};
-use symbfuzz_sim::{Reentry, SettleMode, Simulator};
+use symbfuzz_sim::{Reentry, Simulator};
 use symbfuzz_smt::{BvSolver, SatOutcome};
 use symbfuzz_symexec::SymbolicEngine;
 
@@ -45,62 +43,47 @@ fn sim_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// Tentpole A/B/C: per-step cost (clock + settles) under the compiled
-/// word-level VM vs the levelized dirty-set sweep vs the global
-/// fixpoint, on every processor design.
-fn step_throughput_by_mode(c: &mut Criterion) {
+/// Per-step cost (clock + settles) of the compiled word-level VM on
+/// every processor design.
+fn step_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("step_throughput");
     for b in processor_benchmarks() {
         let design = b.design().unwrap();
-        for (label, mode) in [
-            ("compiled", SettleMode::Compiled),
-            ("levelized", SettleMode::Levelized),
-            ("fixpoint", SettleMode::Fixpoint),
-        ] {
-            let id = BenchmarkId::new(label, b.name);
-            group.bench_with_input(id, &design, |bench, d| {
-                let mut sim = Simulator::new(Arc::clone(d));
-                sim.set_settle_mode(mode);
-                sim.reenter(Reentry::FullReset { cycles: 2 });
-                let width = d.fuzz_width().max(1);
-                let mut i = 0u64;
-                bench.iter(|| {
-                    i = i.wrapping_add(0x9E3779B97F4A7C15);
-                    sim.apply_input_word(&LogicVec::from_u64(width.min(64), i));
-                    sim.step();
-                    sim.cycle()
-                });
+        let id = BenchmarkId::new("compiled", b.name);
+        group.bench_with_input(id, &design, |bench, d| {
+            let mut sim = Simulator::new(Arc::clone(d));
+            sim.reenter(Reentry::FullReset { cycles: 2 });
+            let width = d.fuzz_width().max(1);
+            let mut i = 0u64;
+            bench.iter(|| {
+                i = i.wrapping_add(0x9E3779B97F4A7C15);
+                sim.apply_input_word(&LogicVec::from_u64(width.min(64), i));
+                sim.step();
+                sim.cycle()
             });
-        }
+        });
     }
     group.finish();
 }
 
 /// Settle-only cost: one input toggle then a combinational settle, the
 /// unit the dirty-set skipping optimises hardest (few units re-run).
-fn settle_throughput_by_mode(c: &mut Criterion) {
+fn settle_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("settle_throughput");
     for b in processor_benchmarks() {
         let design = b.design().unwrap();
-        for (label, mode) in [
-            ("compiled", SettleMode::Compiled),
-            ("levelized", SettleMode::Levelized),
-            ("fixpoint", SettleMode::Fixpoint),
-        ] {
-            let id = BenchmarkId::new(label, b.name);
-            group.bench_with_input(id, &design, |bench, d| {
-                let mut sim = Simulator::new(Arc::clone(d));
-                sim.set_settle_mode(mode);
-                sim.reenter(Reentry::FullReset { cycles: 2 });
-                let width = d.fuzz_width().max(1);
-                let mut i = 0u64;
-                bench.iter(|| {
-                    i = i.wrapping_add(1);
-                    sim.apply_input_word(&LogicVec::from_u64(width.min(64), i));
-                    sim.settle().is_ok()
-                });
+        let id = BenchmarkId::new("compiled", b.name);
+        group.bench_with_input(id, &design, |bench, d| {
+            let mut sim = Simulator::new(Arc::clone(d));
+            sim.reenter(Reentry::FullReset { cycles: 2 });
+            let width = d.fuzz_width().max(1);
+            let mut i = 0u64;
+            bench.iter(|| {
+                i = i.wrapping_add(1);
+                sim.apply_input_word(&LogicVec::from_u64(width.min(64), i));
+                sim.settle().is_ok()
             });
-        }
+        });
     }
     group.finish();
 }
@@ -116,33 +99,6 @@ fn bytecode_compile(c: &mut Criterion) {
         let sched = comb_schedule(&design);
         group.bench_with_input(BenchmarkId::new("compile", b.name), &design, |bench, d| {
             bench.iter(|| compile(d, &sched, CompileOpts::default()).stats.total_ops)
-        });
-    }
-    group.finish();
-}
-
-/// Per-dispatch cost of one settled process: the VM executing word
-/// bytecode vs the interpreter walking the statement tree, isolated
-/// from clocking by re-settling a single toggled cone.
-fn vm_dispatch(c: &mut Criterion) {
-    let b = &processor_benchmarks()[0];
-    let design = b.design().unwrap();
-    let mut group = c.benchmark_group("vm_dispatch");
-    for (label, mode) in [
-        ("compiled_vm", SettleMode::Compiled),
-        ("interpreted", SettleMode::Levelized),
-    ] {
-        group.bench_function(label, |bench| {
-            let mut sim = Simulator::new(Arc::clone(&design));
-            sim.set_settle_mode(mode);
-            sim.reenter(Reentry::FullReset { cycles: 2 });
-            let width = design.fuzz_width().max(1);
-            let mut i = 0u64;
-            bench.iter(|| {
-                i = i.wrapping_add(1);
-                sim.apply_input_word(&LogicVec::from_u64(width.min(64), i));
-                sim.settle().is_ok()
-            });
         });
     }
     group.finish();
@@ -232,10 +188,9 @@ fn sat_solver(c: &mut Criterion) {
 criterion_group!(
     benches,
     sim_throughput,
-    step_throughput_by_mode,
-    settle_throughput_by_mode,
+    step_throughput,
+    settle_throughput,
     bytecode_compile,
-    vm_dispatch,
     checkpoint_reentry,
     symbolic_solving,
     sat_solver

@@ -14,10 +14,6 @@
 //! * `--solve-wall-ms N` / `--solve-wall-ms=N` — wall-clock ceiling per
 //!   symbolic solve in milliseconds (non-deterministic: reports may
 //!   vary between runs and job counts);
-//! * `--settle-mode MODE` / `--settle-mode=MODE` — combinational
-//!   settling engine for every campaign (`fixpoint`, `levelized` or
-//!   `compiled`; default `compiled`) — see
-//!   [`crate::experiments::set_settle_policy`];
 //! * `--snapshot-budget N` / `--snapshot-budget=N` — byte budget for
 //!   the copy-on-write snapshot store; unique bytes beyond it trigger
 //!   oldest-first eviction
@@ -48,7 +44,6 @@
 
 use crate::pool::split_jobs;
 use std::path::PathBuf;
-use symbfuzz_core::SettlePolicy;
 use symbfuzz_telemetry::{set_log_level, Level};
 
 /// Parsed common bench arguments.
@@ -66,8 +61,6 @@ pub struct BenchArgs {
     pub solver_budget: Option<u64>,
     /// Per-solve wall-clock ceiling (ms) from `--solve-wall-ms`, if any.
     pub solve_wall_ms: Option<u64>,
-    /// Settle engine from `--settle-mode`, if any.
-    pub settle_mode: Option<SettlePolicy>,
     /// Snapshot-store byte budget from `--snapshot-budget`, if any.
     pub snapshot_budget: Option<u64>,
     /// Solver introspection armed via `--introspect`.
@@ -104,7 +97,6 @@ pub fn split_bench_args<A: Iterator<Item = String>>(args: A) -> BenchArgs {
     let mut trace_out = None;
     let mut solver_budget = None;
     let mut solve_wall_ms = None;
-    let mut settle_mode = None;
     let mut snapshot_budget = None;
     let mut introspect = false;
     let mut sample_every = None;
@@ -138,13 +130,6 @@ pub fn split_bench_args<A: Iterator<Item = String>>(args: A) -> BenchArgs {
             solve_wall_ms = args.next().and_then(|v| v.parse().ok()).or(solve_wall_ms);
         } else if let Some(v) = a.strip_prefix("--solve-wall-ms=") {
             solve_wall_ms = v.parse().ok().or(solve_wall_ms);
-        } else if a == "--settle-mode" {
-            settle_mode = args
-                .next()
-                .and_then(|v| SettlePolicy::parse(&v))
-                .or(settle_mode);
-        } else if let Some(v) = a.strip_prefix("--settle-mode=") {
-            settle_mode = SettlePolicy::parse(v).or(settle_mode);
         } else if a == "--snapshot-budget" {
             snapshot_budget = args.next().and_then(|v| v.parse().ok()).or(snapshot_budget);
         } else if let Some(v) = a.strip_prefix("--snapshot-budget=") {
@@ -190,7 +175,6 @@ pub fn split_bench_args<A: Iterator<Item = String>>(args: A) -> BenchArgs {
         trace_out,
         solver_budget,
         solve_wall_ms,
-        settle_mode,
         snapshot_budget,
         introspect,
         sample_every,
@@ -216,9 +200,6 @@ pub fn parse_bench_args() -> BenchArgs {
     }
     if parsed.solver_budget.is_some() || parsed.solve_wall_ms.is_some() {
         crate::experiments::set_solver_budget(parsed.solver_budget, parsed.solve_wall_ms);
-    }
-    if let Some(policy) = parsed.settle_mode {
-        crate::experiments::set_settle_policy(policy);
     }
     if let Some(budget) = parsed.snapshot_budget {
         crate::experiments::set_snapshot_budget(budget);
@@ -297,22 +278,6 @@ mod tests {
         // Malformed values fall back to unset.
         let c = split("--solver-budget lots");
         assert_eq!(c.solver_budget, None);
-    }
-
-    #[test]
-    fn extracts_settle_mode() {
-        let a = split("2000 --settle-mode levelized");
-        assert_eq!(a.rest, vec!["2000".to_string()]);
-        assert_eq!(a.settle_mode, Some(SettlePolicy::Levelized));
-        let b = split("--settle-mode=fixpoint");
-        assert_eq!(b.settle_mode, Some(SettlePolicy::Fixpoint));
-        let c = split("--settle-mode=compiled");
-        assert_eq!(c.settle_mode, Some(SettlePolicy::Compiled));
-        // Unknown engines fall back to unset (campaigns keep the
-        // compiled default).
-        let d = split("--settle-mode warp");
-        assert_eq!(d.settle_mode, None);
-        assert!(split("42").settle_mode.is_none());
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! [--flight-out PATH] [--status-out PATH]`.
 //!
 //! The overhead benchmark runs the same SymbFuzz campaign per
-//! processor benchmark twice under the compiled settle engine —
-//! recorder off, then recorder on — and reports vectors/sec for each
+//! processor benchmark twice — recorder off, then recorder on — and reports vectors/sec for each
 //! plus the on/off throughput ratio (acceptance: geomean ≥ 0.95, i.e.
 //! ≤ 5 % overhead). A second A/B pass measures solver introspection
 //! the same way (off vs `solver_introspection(true)`, same acceptance
@@ -22,7 +21,7 @@
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
 use std::time::Instant;
-use symbfuzz_bench::experiments::{resource_profile, settle_policy};
+use symbfuzz_bench::experiments::resource_profile;
 use symbfuzz_bench::pool::merge_telemetry;
 use symbfuzz_bench::render::{render_resources, save_json, write_flight_artifacts};
 use symbfuzz_bench::{flush_trace, parse_bench_args};
@@ -50,9 +49,8 @@ struct SamplingRow {
 
 /// Wall-clock vectors/sec of one campaign; `sample_every` arms the
 /// recorder and both profilers, `introspect` arms the solver-scope
-/// tracing. Always the compiled settle engine (unless `--settle-mode`
-/// overrode it) so each A/B isolates one instrument, not engine
-/// choice.
+/// tracing. Both arms of each A/B run the same campaign, so the ratio
+/// isolates one instrument.
 fn throughput(
     bench_index: usize,
     budget: u64,
@@ -66,8 +64,7 @@ fn throughput(
         .interval(100)
         .threshold(2)
         .max_vectors(budget)
-        .seed(0xCAB)
-        .settle_policy(settle_policy());
+        .seed(0xCAB);
     if let Some(every) = sample_every {
         cfg = cfg.sample_every(every);
     }

@@ -1,14 +1,12 @@
-//! Settle-engine A/B/C throughput: simulated cycles per second under
-//! the global fixpoint, the levelized dirty-set sweep and the compiled
-//! word-level VM, on every benchmark design. Emits
-//! `results/BENCH_sim.json` with the full three-way table; earlier
-//! row-sets found in that file are preserved under `history` so the
-//! performance trajectory across revisions stays auditable.
+//! Settle-engine throughput: simulated cycles per second of the
+//! compiled word-level VM on every benchmark design. Emits
+//! `results/BENCH_sim.json`; earlier row-sets found in that file —
+//! including the retired fixpoint / levelized / compiled A/B/C table —
+//! are preserved under `history` so the performance trajectory across
+//! revisions stays auditable.
 //!
-//! Usage: `simbench [cycles] [--settle-mode MODE] [--log-level LEVEL]`
-//! (default 20000 cycles). With `--settle-mode` only the named engine
-//! is timed — a quick profiling mode that prints cyc/s without
-//! speedups and leaves `results/BENCH_sim.json` untouched.
+//! Usage: `simbench [cycles] [--log-level LEVEL]` (default 20000
+//! cycles).
 
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
@@ -18,9 +16,9 @@ use symbfuzz_bench::render::save_json;
 use symbfuzz_designs::{bug_benchmarks, processor_benchmarks};
 use symbfuzz_logic::LogicVec;
 use symbfuzz_netlist::Design;
-use symbfuzz_sim::{Reentry, SettleMode, Simulator};
+use symbfuzz_sim::{Reentry, Simulator};
 
-/// One design's three-way throughput measurement.
+/// One design's throughput measurement.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct SimBenchRow {
     design: String,
@@ -32,21 +30,12 @@ struct SimBenchRow {
     cyclic_units: u64,
     /// Processes the bytecode compiler lowered (vs interpreted).
     compiled_procs: u64,
-    /// Steps/sec under the original global fixpoint.
-    fixpoint_cps: f64,
-    /// Steps/sec under the levelized dirty-set sweep.
-    levelized_cps: f64,
     /// Steps/sec under the compiled word-level VM.
     compiled_cps: f64,
-    /// levelized_cps / fixpoint_cps.
-    speedup_levelized: f64,
-    /// compiled_cps / levelized_cps.
-    speedup_compiled: f64,
 }
 
-fn throughput(design: &Arc<Design>, mode: SettleMode, cycles: u64) -> f64 {
+fn throughput(design: &Arc<Design>, cycles: u64) -> f64 {
     let mut sim = Simulator::new(Arc::clone(design));
-    sim.set_settle_mode(mode);
     sim.reenter(Reentry::FullReset { cycles: 2 });
     let width = design.fuzz_width().max(1);
     let mut state = 0xBEEFu64;
@@ -104,82 +93,31 @@ fn main() {
         )
         .collect();
 
-    if let Some(policy) = args.settle_mode {
-        // Single-engine profiling mode: no speedups, no JSON.
-        println!(
-            "# Simulator throughput — `{}` engine, {cycles} cycles per run\n",
-            policy.name()
-        );
-        println!("| Design | cyc/s |");
-        println!("|---|---|");
-        for (name, design) in &designs {
-            let cps = throughput(design, policy.to_mode(), cycles);
-            println!("| {name} | {cps:.0} |");
-        }
-        return;
-    }
-
     let mut rows = Vec::new();
-    println!("# Simulator settle-engine A/B/C — {cycles} cycles per run\n");
-    println!(
-        "| Design | comb procs | compiled procs | fixpoint cyc/s | levelized cyc/s \
-         | compiled cyc/s | lev/fix | cmp/lev |"
-    );
-    println!("|---|---|---|---|---|---|---|---|");
+    println!("# Simulator settle throughput (compiled VM) — {cycles} cycles per run\n");
+    println!("| Design | comb procs | compiled procs | cyc/s |");
+    println!("|---|---|---|---|");
     for (name, design) in &designs {
         let sim = Simulator::new(Arc::clone(design));
         let sched = sim.schedule().clone();
         let compiled_procs = sim.compile_stats().compiled as u64;
         drop(sim);
-        let fixpoint_cps = throughput(design, SettleMode::Fixpoint, cycles);
-        let levelized_cps = throughput(design, SettleMode::Levelized, cycles);
-        let compiled_cps = throughput(design, SettleMode::Compiled, cycles);
         let row = SimBenchRow {
             design: name.clone(),
             cycles,
             comb_procs: sched.comb_procs() as u64,
             cyclic_units: sched.cyclic_units as u64,
             compiled_procs,
-            fixpoint_cps,
-            levelized_cps,
-            compiled_cps,
-            speedup_levelized: levelized_cps / fixpoint_cps,
-            speedup_compiled: compiled_cps / levelized_cps,
+            compiled_cps: throughput(design, cycles),
         };
         println!(
-            "| {} | {} | {} | {:.0} | {:.0} | {:.0} | {:.2}× | {:.2}× |",
-            row.design,
-            row.comb_procs,
-            row.compiled_procs,
-            row.fixpoint_cps,
-            row.levelized_cps,
-            row.compiled_cps,
-            row.speedup_levelized,
-            row.speedup_compiled
+            "| {} | {} | {} | {:.0} |",
+            row.design, row.comb_procs, row.compiled_procs, row.compiled_cps
         );
         rows.push(row);
     }
-    let geomean =
-        (rows.iter().map(|r| r.speedup_compiled.ln()).sum::<f64>() / rows.len() as f64).exp();
-    println!(
-        "\ngeomean compiled/levelized speedup: {geomean:.2}× across {} designs \
-         (acceptance: ≥3× on ibex_like and cva6_like)",
-        rows.len()
-    );
-    for want in ["ibex_like", "cva6_like"] {
-        if let Some(r) = rows.iter().find(|r| r.design == want) {
-            println!(
-                "  {want}: {:.2}× compiled over levelized ({:.0} → {:.0} cyc/s)",
-                r.speedup_compiled, r.levelized_cps, r.compiled_cps
-            );
-        }
-    }
     let out = Value::Object(vec![
         ("rows".into(), rows.to_value()),
-        (
-            "geomean_compiled_over_levelized".into(),
-            Value::Num(geomean),
-        ),
         ("history".into(), Value::Array(load_history())),
     ]);
     save_json("BENCH_sim", &out).expect("write results/BENCH_sim.json");

@@ -14,8 +14,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use symbfuzz_core::{
-    CampaignResult, CoverageSample, FuzzConfig, FuzzConfigBuilder, PropertySpec, SettlePolicy,
-    SolverCacheBlock, SolverProfileBlock, SolverScopeBlock, Strategy, SymbFuzz,
+    CampaignResult, CoverageSample, FuzzConfig, FuzzConfigBuilder, PropertySpec, SolverCacheBlock,
+    SolverProfileBlock, SolverScopeBlock, Strategy, SymbFuzz,
 };
 use symbfuzz_designs::{bug_benchmarks, processor_benchmarks, Benchmark};
 use symbfuzz_logic::LogicVec;
@@ -63,23 +63,6 @@ pub fn set_solver_budget(conflicts: Option<u64>, wall_ms: Option<u64>) {
 /// The active global solver budget (both `None` when unset).
 pub fn solver_budget() -> (Option<u64>, Option<u64>) {
     SOLVER_BUDGET.get().copied().unwrap_or((None, None))
-}
-
-/// The process-global settle engine, set once by `--settle-mode`.
-static SETTLE_POLICY: OnceLock<SettlePolicy> = OnceLock::new();
-
-/// Selects the combinational settle engine every subsequent campaign
-/// in this process simulates with. First call wins; later calls are
-/// no-ops. Campaign reports are identical under every policy (see the
-/// `sched_equiv` suite), so this is a performance knob, not a
-/// semantics knob.
-pub fn set_settle_policy(policy: SettlePolicy) {
-    let _ = SETTLE_POLICY.set(policy);
-}
-
-/// The active settle engine ([`SettlePolicy::Compiled`] when unset).
-pub fn settle_policy() -> SettlePolicy {
-    SETTLE_POLICY.get().copied().unwrap_or_default()
 }
 
 /// The process-global snapshot-store byte budget, set once by
@@ -248,8 +231,7 @@ fn campaign_config(budget: u64, seed: u64) -> FuzzConfig {
         .interval(100)
         .threshold(2)
         .max_vectors(budget)
-        .seed(seed)
-        .settle_policy(settle_policy());
+        .seed(seed);
     if let Some(c) = conflicts {
         b = b.solver_budget(c);
     }

@@ -1,23 +1,21 @@
-//! Three-way A/B/C equivalence of the settle engines — compiled
-//! bytecode VM vs levelized sweep vs global fixpoint — exercised on
-//! every design shipped in `crates/designs`.
+//! Equivalence of the compiled settle engine against the
+//! global-fixpoint oracle ([`Simulator::reference`]), exercised on
+//! every design shipped in `crates/designs` and on single-byte mutants
+//! of their RTL.
 //!
-//! The levelized sweep and the compiled word-level VM are only
-//! optimisations if they are *observably identical* to the fixpoint
-//! they replace: same signal values every cycle (including
-//! X-propagation from the all-X power-up state, with no reset
-//! applied — the compiled VM must escape to the four-state interpreter
-//! for exactly those cones), same set of exercised branch outcomes,
-//! same campaign coverage series, and the same `CombLoop` error on
-//! genuinely cyclic designs.
+//! The compiled word-level VM is only an optimisation if it is
+//! *observably identical* to the fixpoint: same signal values every
+//! cycle (including X-propagation from the all-X power-up state, with
+//! no reset applied — the VM must escape to the four-state interpreter
+//! for exactly those cones), same set of exercised branch outcomes, and
+//! the same `CombLoop` error on genuinely cyclic designs.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use symbfuzz_core::{FuzzConfig, SettlePolicy, Strategy, SymbFuzz};
 use symbfuzz_designs::{bug_benchmarks, processor_benchmarks};
 use symbfuzz_logic::LogicVec;
 use symbfuzz_netlist::{elaborate_src, BranchId, Design};
-use symbfuzz_sim::{Reentry, SettleMode, SimError, Simulator};
+use symbfuzz_sim::{Reentry, SimError, Simulator};
 
 /// Deterministic input-word generator (64-bit LCG, chunked to width).
 fn next_word(width: u32, state: &mut u64) -> LogicVec {
@@ -47,114 +45,85 @@ fn toggled_set(sim: &Simulator) -> BTreeSet<(usize, usize)> {
     set
 }
 
-/// Runs compiled, levelized and fixpoint simulators in lockstep on one
+/// Runs the compiled simulator and the reference in lockstep on one
 /// design and asserts bit-identical signal values at every observation
-/// point.
-fn assert_lockstep(design: &Arc<Design>, name: &str, cycles: u32) {
+/// point. A design whose power-up settle reports a combinational loop
+/// is compared on that error alone, returned once both engines agree
+/// on it: values left mid-oscillation are unspecified.
+fn assert_lockstep(design: &Arc<Design>, name: &str, cycles: u32) -> Result<(), SimError> {
     let mut cmp = Simulator::new(Arc::clone(design));
-    assert_eq!(cmp.settle_mode(), SettleMode::Compiled);
-    let mut lev = Simulator::new(Arc::clone(design));
-    lev.set_settle_mode(SettleMode::Levelized);
-    let mut fix = Simulator::new(Arc::clone(design));
-    fix.set_settle_mode(SettleMode::Fixpoint);
-    fix.settle().expect("acyclic design settles under fixpoint");
-    lev.settle().expect("acyclic design settles levelized");
-    assert_eq!(
-        cmp.values(),
-        fix.values(),
-        "{name}: initial all-X settle differs (compiled vs fixpoint)"
-    );
-    assert_eq!(lev.values(), fix.values(), "{name}: initial all-X settle");
+    let mut fix = Simulator::reference(Arc::clone(design));
+    let settled = fix.settle();
+    assert_eq!(cmp.settle(), settled, "{name}: power-up settle verdict");
+    settled?;
 
-    let check = |cmp: &Simulator, lev: &Simulator, fix: &Simulator, what: &str| {
-        assert_eq!(
-            cmp.values(),
-            fix.values(),
-            "{name}: {what} (compiled vs fixpoint)"
-        );
-        assert_eq!(
-            lev.values(),
-            fix.values(),
-            "{name}: {what} (levelized vs fixpoint)"
-        );
+    let check = |cmp: &Simulator, fix: &Simulator, what: &str| {
+        assert_eq!(cmp.values(), fix.values(), "{name}: {what}");
     };
+    check(&cmp, &fix, "initial all-X settle");
 
     // X-propagation phase: clock the un-reset design so register Xes
-    // flow through the combinational logic in all three engines (the
+    // flow through the combinational logic in both engines (the
     // compiled VM escapes per cone here).
     for c in 0..4 {
         cmp.step();
-        lev.step();
         fix.step();
-        check(&cmp, &lev, &fix, &format!("un-reset cycle {c}"));
+        check(&cmp, &fix, &format!("un-reset cycle {c}"));
     }
 
     cmp.reenter(Reentry::FullReset { cycles: 2 });
-    lev.reenter(Reentry::FullReset { cycles: 2 });
     fix.reenter(Reentry::FullReset { cycles: 2 });
-    check(&cmp, &lev, &fix, "post-reset state");
+    check(&cmp, &fix, "post-reset state");
 
     let width = design.fuzz_width();
     let mut state = 0x5EED_0BAD ^ name.len() as u64;
     let mut store_cmp = cmp.snapshot_store(u64::MAX);
-    let mut store_lev = lev.snapshot_store(u64::MAX);
     let mut store_fix = fix.snapshot_store(u64::MAX);
     let mut snaps = None;
     for c in 0..cycles {
         let word = next_word(width, &mut state);
         cmp.apply_input_word(&word);
-        lev.apply_input_word(&word);
         fix.apply_input_word(&word);
         cmp.step();
-        lev.step();
         fix.step();
-        check(&cmp, &lev, &fix, &format!("cycle {c}"));
+        check(&cmp, &fix, &format!("cycle {c}"));
         if c == cycles / 2 {
             snaps = Some((
                 cmp.fork(&mut store_cmp, None).id,
-                lev.fork(&mut store_lev, None).id,
                 fix.fork(&mut store_fix, None).id,
             ));
         }
     }
 
     // Re-enter the mid-run checkpoints and diverge identically again.
-    let (cs, ls, fs) = snaps.expect("snapshot taken");
+    let (cs, fs) = snaps.expect("snapshot taken");
     cmp.enter(&store_cmp, cs);
-    lev.enter(&store_lev, ls);
     fix.enter(&store_fix, fs);
     for c in 0..8 {
         let word = next_word(width, &mut state);
         cmp.apply_input_word(&word);
-        lev.apply_input_word(&word);
         fix.apply_input_word(&word);
         cmp.step();
-        lev.step();
         fix.step();
-        check(&cmp, &lev, &fix, &format!("post-restore cycle {c}"));
+        check(&cmp, &fix, &format!("post-restore cycle {c}"));
     }
 
     // Branch-outcome parity: the fixpoint re-executes settled processes
     // while iterating, so raw hit *counters* legitimately differ, but
-    // every outcome any engine exercises must be exercised by all.
-    let toggled = toggled_set(&fix);
+    // every outcome either engine exercises must be exercised by both.
     assert_eq!(
         toggled_set(&cmp),
-        toggled,
-        "{name}: toggled sets differ (compiled vs fixpoint)"
+        toggled_set(&fix),
+        "{name}: toggled sets differ"
     );
-    assert_eq!(
-        toggled_set(&lev),
-        toggled,
-        "{name}: toggled sets differ (levelized vs fixpoint)"
-    );
+    Ok(())
 }
 
 #[test]
 fn bug_designs_match_fixpoint_bit_for_bit() {
     for b in bug_benchmarks() {
         let design = b.design().expect("benchmark elaborates");
-        assert_lockstep(&design, b.name, 120);
+        assert_lockstep(&design, b.name, 120).expect("bug design settles");
     }
 }
 
@@ -167,8 +136,49 @@ fn processor_designs_match_fixpoint_bit_for_bit() {
             "{}: processor schedule unexpectedly cyclic",
             b.name
         );
-        assert_lockstep(&design, b.name, 200);
+        assert_lockstep(&design, b.name, 200).expect("processor settles");
     }
+}
+
+/// The generated-design oracle: single-byte mutants of every processor
+/// and bug RTL, drawn from a fixed-seed LCG. Each mutant that still
+/// elaborates runs through [`assert_lockstep`], so the equivalence is
+/// checked on designs nobody wrote by hand.
+#[test]
+fn mutated_designs_match_reference_bit_for_bit() {
+    const MUTATIONS: u64 = 3_000;
+    const ALPHABET: &[u8] = b"01xz'&|^~!+-<>=?:;,()[]{} abdeinqrstw";
+    let sources: Vec<(&str, &str, &str)> = processor_benchmarks()
+        .iter()
+        .map(|b| (b.name, b.rtl, b.top))
+        .chain(bug_benchmarks().iter().map(|b| (b.name, b.rtl, b.top)))
+        .collect();
+    assert_eq!(sources.len(), 18);
+    let mut state = 0x4D55_7441_4E54_u64;
+    let mut draw = |n: usize| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as usize % n
+    };
+    let mut elaborable = 0;
+    for i in 0..MUTATIONS {
+        let (name, rtl, top) = sources[draw(sources.len())];
+        let mut bytes = rtl.as_bytes().to_vec();
+        let pos = draw(bytes.len());
+        bytes[pos] = ALPHABET[draw(ALPHABET.len())];
+        let Ok(src) = String::from_utf8(bytes) else {
+            continue;
+        };
+        let Ok(design) = elaborate_src(&src, top) else {
+            continue;
+        };
+        elaborable += 1;
+        // A mutant that closes a combinational loop is compared on the
+        // settle verdict alone, inside `assert_lockstep`.
+        let _ = assert_lockstep(&Arc::new(design), &format!("{name} mutant {i}"), 30);
+    }
+    assert!(elaborable >= 500, "only {elaborable} mutants elaborated");
 }
 
 #[test]
@@ -184,82 +194,15 @@ fn comb_loop_reported_under_all_modes() {
         )
         .unwrap(),
     );
-    for mode in [
-        SettleMode::Compiled,
-        SettleMode::Levelized,
-        SettleMode::Fixpoint,
+    for (engine, mut s) in [
+        ("compiled", Simulator::new(Arc::clone(&design))),
+        ("reference", Simulator::reference(Arc::clone(&design))),
     ] {
-        let mut s = Simulator::new(Arc::clone(&design));
-        s.set_settle_mode(mode);
         let a = s.design().signal_by_name("a").unwrap();
         s.set_input(a, &LogicVec::from_u64(1, 0)).unwrap();
         s.settle().unwrap();
         s.set_input(a, &LogicVec::from_u64(1, 1)).unwrap();
-        assert_eq!(s.settle(), Err(SimError::CombLoop), "{mode:?}");
-        assert!(s.comb_unstable(), "{mode:?}");
-    }
-}
-
-/// Full-campaign A/B/C: the fuzzer observes signal values and toggled
-/// outcomes, so a whole campaign — coverage series included — must be
-/// identical under every settling strategy, for every fuzzing
-/// strategy.
-///
-/// The only sanctioned divergence is the settle-engine's own
-/// telemetry: `settle_fast_path` / `settle_escapes` counters and the
-/// `x_island_cones` gauge describe *how* the engine settled, not what
-/// the design did, so they are zeroed before comparison (the same
-/// carve-out the once-per-settle `settle_sweeps` invariant covers by
-/// construction).
-#[test]
-fn campaign_coverage_series_match_across_modes() {
-    let run = |policy: SettlePolicy, design: &Arc<Design>, props: &[_], strategy| {
-        let config = FuzzConfig {
-            interval: 100,
-            threshold: 2,
-            max_vectors: 2_000,
-            seed: 0xAB,
-            settle_policy: policy,
-            ..FuzzConfig::default()
-        };
-        let mut fuzzer =
-            SymbFuzz::new(Arc::clone(design), strategy, config, props).expect("properties compile");
-        let mut result = fuzzer.run();
-        for (name, v) in result
-            .telemetry
-            .counters
-            .iter_mut()
-            .chain(result.telemetry.gauges.iter_mut())
-        {
-            if matches!(
-                name.as_str(),
-                "settle_fast_path" | "settle_escapes" | "x_island_cones"
-            ) {
-                *v = 0;
-            }
-        }
-        result
-    };
-    let procs = processor_benchmarks();
-    let b = &procs[0];
-    let design = b.design().expect("benchmark elaborates");
-    let props = b.property_specs();
-    for strategy in Strategy::all() {
-        let cmp = run(SettlePolicy::Compiled, &design, &props, strategy);
-        let lev = run(SettlePolicy::Levelized, &design, &props, strategy);
-        let fix = run(SettlePolicy::Fixpoint, &design, &props, strategy);
-        let cmp_json = serde_json::to_string(&cmp).unwrap();
-        assert_eq!(
-            cmp_json,
-            serde_json::to_string(&lev).unwrap(),
-            "campaign diverged compiled vs levelized for {}",
-            strategy.name()
-        );
-        assert_eq!(
-            cmp_json,
-            serde_json::to_string(&fix).unwrap(),
-            "campaign diverged compiled vs fixpoint for {}",
-            strategy.name()
-        );
+        assert_eq!(s.settle(), Err(SimError::CombLoop), "{engine}");
+        assert!(s.comb_unstable(), "{engine}");
     }
 }

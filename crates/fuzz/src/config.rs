@@ -1,62 +1,6 @@
 //! Fuzzing configuration and strategy selection.
 
 use serde::{Deserialize, Serialize};
-use symbfuzz_sim::SettleMode;
-
-/// Which combinational-settle engine a campaign simulates with. All
-/// three produce bit-identical values, toggles and campaign reports —
-/// this is a performance knob and the A/B control for the
-/// scheduler-equivalence experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum SettlePolicy {
-    /// Global fixpoint over every combinational process (original).
-    Fixpoint,
-    /// Levelized single sweep with dirty-set unit skipping (PR 1).
-    Levelized,
-    /// Word-level bytecode VM with the packed two-state fast path,
-    /// escaping per cone on live X/Z (the default).
-    #[default]
-    Compiled,
-}
-
-impl SettlePolicy {
-    /// The simulator mode this policy selects.
-    pub fn to_mode(self) -> SettleMode {
-        match self {
-            SettlePolicy::Fixpoint => SettleMode::Fixpoint,
-            SettlePolicy::Levelized => SettleMode::Levelized,
-            SettlePolicy::Compiled => SettleMode::Compiled,
-        }
-    }
-
-    /// Stable lowercase name (CLI flag values, report labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            SettlePolicy::Fixpoint => "fixpoint",
-            SettlePolicy::Levelized => "levelized",
-            SettlePolicy::Compiled => "compiled",
-        }
-    }
-
-    /// Parses a CLI flag value.
-    pub fn parse(s: &str) -> Option<SettlePolicy> {
-        match s {
-            "fixpoint" => Some(SettlePolicy::Fixpoint),
-            "levelized" => Some(SettlePolicy::Levelized),
-            "compiled" => Some(SettlePolicy::Compiled),
-            _ => None,
-        }
-    }
-
-    /// All policies in benchmark-table order.
-    pub fn all() -> [SettlePolicy; 3] {
-        [
-            SettlePolicy::Fixpoint,
-            SettlePolicy::Levelized,
-            SettlePolicy::Compiled,
-        ]
-    }
-}
 
 /// Which fuzzing algorithm drives the campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -149,9 +93,6 @@ pub struct FuzzConfig {
     /// Ablation: disable the SMT-guided mutation entirely (stagnation
     /// is ignored; exploration stays purely random).
     pub use_solver: bool,
-    /// Which combinational-settle engine to simulate with (defaults to
-    /// the compiled bytecode VM; all policies are value-equivalent).
-    pub settle_policy: SettlePolicy,
     /// Conflict budget per symbolic solve (`None` = unlimited). When
     /// set, exhausted solves degrade to random mutation instead of
     /// stalling the campaign.
@@ -225,7 +166,6 @@ impl Deserialize for FuzzConfig {
             testcase_len: Deserialize::from_value(v.field("testcase_len")?)?,
             use_checkpoints: Deserialize::from_value(v.field("use_checkpoints")?)?,
             use_solver: Deserialize::from_value(v.field("use_solver")?)?,
-            settle_policy: Deserialize::from_value(v.field("settle_policy")?)?,
             solver_budget: Deserialize::from_value(v.field("solver_budget")?)?,
             solve_wall_ms: Deserialize::from_value(v.field("solve_wall_ms")?)?,
             escalation_cap: Deserialize::from_value(v.field("escalation_cap")?)?,
@@ -266,7 +206,6 @@ impl Default for FuzzConfig {
             testcase_len: 32,
             use_checkpoints: true,
             use_solver: true,
-            settle_policy: SettlePolicy::default(),
             solver_budget: None,
             solve_wall_ms: None,
             escalation_cap: 3,
@@ -471,10 +410,6 @@ impl FuzzConfigBuilder {
         use_solver: bool
     );
     setter!(
-        /// Select the combinational-settle engine.
-        settle_policy: SettlePolicy
-    );
-    setter!(
         /// Budget-escalation cap (levels of doubling).
         escalation_cap: u32
     );
@@ -577,15 +512,20 @@ mod tests {
     #[test]
     fn configs_with_retired_keys_still_load() {
         // snapshot_cap was removed with the deprecated count-bound
-        // shims, portfolio with budget-ladder racing; configs
+        // shims, portfolio with budget-ladder racing, settle_policy
+        // with the runtime-selectable settle engines; configs
         // serialized while they existed carry the keys and must still
         // deserialize (the fields are simply ignored).
-        for (key, value) in [("snapshot_cap", 256.0), ("portfolio", 2.0)] {
+        for (key, value) in [
+            ("snapshot_cap", serde::Value::Num(256.0)),
+            ("portfolio", serde::Value::Num(2.0)),
+            ("settle_policy", serde::Value::Str("Compiled".to_string())),
+        ] {
             let v = Serialize::to_value(&FuzzConfig::default());
             let serde::Value::Object(mut fields) = v else {
                 panic!("config serializes to an object")
             };
-            fields.push((key.to_string(), serde::Value::Num(value)));
+            fields.push((key.to_string(), value));
             let back = FuzzConfig::from_value(&serde::Value::Object(fields)).unwrap();
             assert_eq!(back, FuzzConfig::default(), "legacy key {key}");
         }

@@ -163,7 +163,6 @@ impl SymbFuzz {
         let telemetry = Arc::new(Collector::deterministic());
         let mut sim = Simulator::new(Arc::clone(&design));
         sim.set_collector(Some(Arc::clone(&telemetry)));
-        sim.set_settle_mode(config.settle_policy.to_mode());
         // The flight recorder pays for the per-cone VM profile too:
         // both observers ride the same `sample_every` opt-in.
         if config.sample_every.is_some() {
@@ -291,8 +290,7 @@ impl SymbFuzz {
 
     /// The profiler sections appended to the `status.json` heartbeat
     /// and attached to the campaign report: the per-cone VM profile
-    /// (when the compiled settle mode ran) and the per-goal solver
-    /// profile.
+    /// (when the profiler is on) and the per-goal solver profile.
     fn profile_sections(&self) -> Vec<(String, String)> {
         let mut extra = Vec::new();
         if let Some(p) = self.sim.vm_profile(HOT_CONE_TOP_K) {
@@ -1679,8 +1677,8 @@ mod tests {
         assert_eq!(d_vectors, 20_000, "vector deltas reassemble the total");
         let last = r.flight.last().unwrap();
         assert_eq!(last.coverage, r.coverage_points);
-        // The compiled settle mode ran, so the VM profile names hot
-        // cones with their fast-path hit rates.
+        // The VM profile names hot cones with their fast-path hit
+        // rates.
         let vm = r
             .vm_profile
             .as_ref()

@@ -47,7 +47,7 @@ mod fuzzer;
 mod mutate;
 mod report;
 
-pub use config::{ConfigError, FuzzConfig, FuzzConfigBuilder, SettlePolicy, Strategy};
+pub use config::{ConfigError, FuzzConfig, FuzzConfigBuilder, Strategy};
 pub use fuzzer::SymbFuzz;
 pub use mutate::Mutator;
 pub use report::{

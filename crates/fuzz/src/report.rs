@@ -987,7 +987,7 @@ pub struct CampaignResult {
     /// Flight-recorder samples (empty unless `sample_every` was set).
     pub flight: Vec<FlightRow>,
     /// Per-cone VM profile (present when the flight recorder enabled
-    /// the profiler and the compiled settle mode ran).
+    /// the profiler).
     pub vm_profile: Option<VmProfileBlock>,
     /// Per-goal solver profile (empty rows for solver-free campaigns).
     pub solver_profile: SolverProfileBlock,

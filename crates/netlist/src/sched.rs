@@ -1,6 +1,6 @@
 //! Levelized scheduling of combinational processes.
 //!
-//! The simulator's original settling strategy re-executes *every*
+//! The simulator's reference oracle re-executes *every*
 //! combinational process until a global fixpoint — O(processes ×
 //! iterations) per settle. For the overwhelmingly common acyclic case
 //! a single level-order sweep suffices: build the dependency graph

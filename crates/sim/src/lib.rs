@@ -7,7 +7,10 @@
 //!
 //! * registers power up as `X` (§4.4 of the paper) and only leave that
 //!   state through a reset branch or an assignment of a defined value;
-//! * combinational processes are evaluated to a fixpoint each delta;
+//! * combinational processes are evaluated to a fixpoint each delta —
+//!   in one level-order sweep of compiled bytecode with a per-cone
+//!   four-state escape, checked against the global-fixpoint
+//!   [`Simulator::reference`] oracle;
 //! * non-blocking assignments are committed after every sequential
 //!   process of a clock phase has run;
 //! * an `if` with an `X` condition takes the else path and a `case`
@@ -52,7 +55,7 @@ mod vm;
 
 pub use profiler::{ConeProfile, VmProfile, VmProfiler};
 pub use simulator::{
-    BranchOutcome, Reentry, ReentryMechanism, ReentryOutcome, SettleMode, SimError, Simulator,
+    BranchOutcome, Reentry, ReentryMechanism, ReentryOutcome, SimError, Simulator,
 };
 pub use snapstore::{ForkOutcome, SnapshotId, SnapshotStore, PAGE_SIGNALS};
 pub use vcd::VcdWriter;

@@ -14,27 +14,6 @@ use symbfuzz_telemetry::{Collector, Counter, Gauge};
 use crate::profiler::{VmProfile, VmProfiler};
 use crate::snapstore::{ForkOutcome, SnapshotId, SnapshotStore};
 
-/// How combinational logic is settled between clock edges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SettleMode {
-    /// Re-execute every combinational process until a global fixpoint
-    /// (the original strategy; O(processes × iterations) per settle).
-    Fixpoint,
-    /// Single level-order sweep over the precomputed
-    /// [`CombSchedule`], skipping units none of whose signals changed
-    /// since the last settle. Cyclic units fall back to a local
-    /// fixpoint, preserving [`SimError::CombLoop`] detection.
-    Levelized,
-    /// The levelized sweep, dispatching each process through its
-    /// compiled word-level bytecode ([`WordCode`]) whenever no X/Z bit
-    /// is live in the process's input cone — the packed two-state fast
-    /// path. Cones with live unknowns (X-islands), and processes the
-    /// lowering rejected, escape to the four-state interpreter per
-    /// process, so values stay bit-identical to the other modes.
-    #[default]
-    Compiled,
-}
-
 /// Error raised by simulator operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
@@ -140,7 +119,10 @@ pub struct Simulator {
     sched: Arc<CombSchedule>,
     /// Bytecode lowering of the design (see `crate::vm`).
     compiled: Arc<CompiledDesign>,
-    mode: SettleMode,
+    /// The test oracle built by [`Simulator::reference`]: settle by
+    /// global fixpoint and run every sequential process through the
+    /// four-state interpreter. Fixed at construction.
+    reference: bool,
     pub(crate) values: Vec<LogicVec>,
     cycle: u64,
     /// Hit counters per branch, indexed `[branch][outcome]`.
@@ -154,10 +136,10 @@ pub struct Simulator {
     record_outcomes: bool,
     comb_unstable: bool,
     /// Per-signal "changed since last settle" flags driving the
-    /// levelized sweep's unit skipping.
+    /// compiled sweep's unit skipping.
     pub(crate) dirty: Vec<bool>,
     /// Combinational process indices in declaration order (the
-    /// fixpoint fallback's iteration order).
+    /// reference fixpoint's iteration order).
     comb_procs: Vec<u32>,
     /// Cached fuzzable-input packing: (signal, lo bit in the word,
     /// port width), in `SignalId` order.
@@ -216,6 +198,21 @@ impl Simulator {
     /// Like [`new`](Self::new), with explicit bytecode-compilation
     /// options (observability contract for dead-cone elimination).
     pub fn with_compile_opts(design: Arc<Design>, opts: CompileOpts) -> Simulator {
+        Simulator::build(design, opts, false)
+    }
+
+    /// The test oracle: a simulator that settles combinational logic by
+    /// re-executing every process until a global fixpoint and fires
+    /// every sequential process through the four-state interpreter,
+    /// never consulting the schedule or the bytecode. Values are
+    /// bit-identical to [`new`](Self::new) by contract; the equivalence
+    /// suites check the compiled engine against this one. Campaigns
+    /// never use it.
+    pub fn reference(design: Arc<Design>) -> Simulator {
+        Simulator::build(design, CompileOpts::default(), true)
+    }
+
+    fn build(design: Arc<Design>, opts: CompileOpts, reference: bool) -> Simulator {
         let values: Vec<LogicVec> = design
             .signals
             .iter()
@@ -274,7 +271,7 @@ impl Simulator {
             rtree,
             sched,
             compiled,
-            mode: SettleMode::default(),
+            reference,
             values,
             cycle: 0,
             branch_hits,
@@ -296,16 +293,21 @@ impl Simulator {
             vm_profiler: None,
         };
         let _ = sim.settle_comb();
+        // Leave every signal marked changed after the power-up settle,
+        // so the first settle under a freshly attached collector sweeps
+        // every unit and the settle counters and X-island gauge of the
+        // observed campaign cover the whole design.
+        sim.dirty.fill(true);
         sim
     }
 
     /// Attaches (or detaches) a telemetry collector. The simulator
     /// counts clock steps, settle sweeps and snapshot traffic on it.
     /// Settle sweeps are counted once per [`settle`](Self::settle)
-    /// call regardless of [`SettleMode`], so telemetry is invariant
-    /// across settling strategies. The X-island high-water restarts
-    /// here so the `x_island_cones` gauge describes the observed
-    /// campaign, not the pre-attach power-up settle.
+    /// call, in the compiled engine and the
+    /// [`reference`](Self::reference) oracle alike. The X-island
+    /// high-water restarts here so the `x_island_cones` gauge describes
+    /// the observed campaign, not the pre-attach power-up settle.
     pub fn set_collector(&mut self, telemetry: Option<Arc<Collector>>) {
         self.telemetry = telemetry;
         self.x_island_hw = 0;
@@ -319,8 +321,8 @@ impl Simulator {
     }
 
     /// Attaches the per-cone VM profiler (idempotent). Profiling data
-    /// accrues only in [`SettleMode::Compiled`], where the fast-path /
-    /// escape dispatch happens; other modes leave the rows at zero.
+    /// accrues in the compiled engine's fast-path / escape dispatch; a
+    /// [`reference`](Self::reference) simulator leaves the rows at zero.
     pub fn enable_vm_profiler(&mut self) {
         if self.vm_profiler.is_none() {
             self.vm_profiler = Some(VmProfiler::new(&self.design, &self.compiled));
@@ -358,19 +360,7 @@ impl Simulator {
         }
     }
 
-    /// The active combinational settling strategy.
-    pub fn settle_mode(&self) -> SettleMode {
-        self.mode
-    }
-
-    /// Switches the settling strategy. All signals are conservatively
-    /// marked changed so the next levelized sweep runs every unit.
-    pub fn set_settle_mode(&mut self, mode: SettleMode) {
-        self.mode = mode;
-        self.mark_all_dirty();
-    }
-
-    /// The levelized schedule computed for this design.
+    /// The levelized schedule the compiled sweep walks.
     pub fn schedule(&self) -> &CombSchedule {
         &self.sched
     }
@@ -479,7 +469,8 @@ impl Simulator {
         self.toggled_count
     }
 
-    /// Settles combinational logic using the active [`SettleMode`].
+    /// Settles combinational logic: the compiled sweep, or the global
+    /// fixpoint on a [`reference`](Self::reference) simulator.
     ///
     /// # Errors
     ///
@@ -492,10 +483,10 @@ impl Simulator {
 
     fn settle_comb(&mut self) -> Result<(), SimError> {
         self.count(Counter::SettleSweeps, 1);
-        match self.mode {
-            SettleMode::Fixpoint => self.comb_fixpoint(),
-            SettleMode::Levelized => self.comb_levelized(),
-            SettleMode::Compiled => self.comb_compiled(),
+        if self.reference {
+            self.comb_fixpoint()
+        } else {
+            self.comb_compiled()
         }
     }
 
@@ -517,43 +508,14 @@ impl Simulator {
         }
     }
 
-    /// Single level-order sweep over the schedule. Units none of whose
-    /// signals changed since the last settle are skipped; cyclic units
-    /// fall back to a local fixpoint with the same iteration cap as the
-    /// global strategy, so combinational loops are still reported.
-    fn comb_levelized(&mut self) -> Result<(), SimError> {
-        let design = Arc::clone(&self.design);
-        let sched = Arc::clone(&self.sched);
-        let mut failed = false;
-        for unit in &sched.units {
-            if !unit.triggers.iter().any(|s| self.dirty[s.index()]) {
-                continue;
-            }
-            if unit.cyclic {
-                failed |= self.run_local_fixpoint(&design, &unit.procs).is_err();
-            } else {
-                let p = &design.processes[unit.procs[0] as usize];
-                let mut nba = std::mem::take(&mut self.scratch_nba);
-                self.exec_stmt(&p.body, &mut nba, true);
-                self.commit_nbas(&mut nba);
-                self.scratch_nba = nba;
-            }
-        }
-        self.clear_dirty();
-        self.comb_unstable = failed;
-        if failed {
-            Err(SimError::CombLoop)
-        } else {
-            Ok(())
-        }
-    }
-
-    /// The compiled sweep: identical unit walk (and skip rule) to
-    /// [`comb_levelized`](Self::comb_levelized), but each acyclic unit
-    /// dispatches through its word-level bytecode when its whole input
-    /// cone is two-state, escaping to the interpreter per cone
-    /// otherwise. Cyclic units always use the interpreter's local
-    /// fixpoint, preserving [`SimError::CombLoop`] detection.
+    /// The compiled sweep: a single level-order walk over the schedule,
+    /// skipping units none of whose signals changed since the last
+    /// settle. Each acyclic unit dispatches through its word-level
+    /// bytecode when its whole input cone is two-state, escaping to the
+    /// interpreter per cone otherwise. Cyclic units always use the
+    /// interpreter's local fixpoint, with the same iteration cap as the
+    /// reference's global one, preserving [`SimError::CombLoop`]
+    /// detection.
     fn comb_compiled(&mut self) -> Result<(), SimError> {
         let design = Arc::clone(&self.design);
         let sched = Arc::clone(&self.sched);
@@ -691,10 +653,6 @@ impl Simulator {
         }
     }
 
-    fn mark_all_dirty(&mut self) {
-        self.dirty.fill(true);
-    }
-
     fn clear_dirty(&mut self) {
         self.dirty.fill(false);
     }
@@ -738,12 +696,11 @@ impl Simulator {
         let _ = self.settle_comb();
 
         // Fire sequential processes whose clock saw the right edge.
-        // In compiled mode each register process goes through its
-        // bytecode when its input cone is two-state (non-blocking
-        // stores queue into the same NBA list, preserving commit
-        // order); X-island cones escape to the interpreter.
+        // Each register process goes through its bytecode when its
+        // input cone is two-state (non-blocking stores queue into the
+        // same NBA list, preserving commit order); X-island cones
+        // escape to the interpreter, which the reference always uses.
         let compiled = Arc::clone(&self.compiled);
-        let use_compiled = self.mode == SettleMode::Compiled;
         let mut nba = std::mem::take(&mut self.scratch_nba);
         let (mut fast, mut escaped) = (0u64, 0u64);
         for i in 0..self.seq_procs.len() {
@@ -754,31 +711,33 @@ impl Simulator {
                 Edge::Pos => prev != Bit::One && now == Bit::One,
                 Edge::Neg => prev != Bit::Zero && now == Bit::Zero,
             };
-            if fired {
-                if use_compiled {
-                    if let Some(code) = &compiled.procs[pidx as usize] {
-                        if self.cone_is_two_state(code) {
-                            fast += 1;
-                            self.note_vm_fast(pidx as usize);
-                            self.exec_wordcode(code, &mut nba);
-                            continue;
-                        }
-                    }
-                    escaped += 1;
-                    self.note_vm_escape(pidx as usize, compiled.procs[pidx as usize].is_some());
-                }
-                let p = &design.processes[pidx as usize];
-                self.exec_stmt(&p.body, &mut nba, false);
+            if !fired {
+                continue;
             }
+            let pi = pidx as usize;
+            if !self.reference {
+                match &compiled.procs[pi] {
+                    Some(code) if self.cone_is_two_state(code) => {
+                        fast += 1;
+                        self.note_vm_fast(pi);
+                        self.exec_wordcode(code, &mut nba);
+                        continue;
+                    }
+                    other => {
+                        escaped += 1;
+                        self.note_vm_escape(pi, other.is_some());
+                    }
+                }
+            }
+            let p = &design.processes[pi];
+            self.exec_stmt(&p.body, &mut nba, false);
         }
-        if use_compiled {
-            if let Some(t) = &self.telemetry {
-                if fast > 0 {
-                    t.add(Counter::SettleFastPath, fast);
-                }
-                if escaped > 0 {
-                    t.add(Counter::SettleEscapes, escaped);
-                }
+        if let Some(t) = &self.telemetry {
+            if fast > 0 {
+                t.add(Counter::SettleFastPath, fast);
+            }
+            if escaped > 0 {
+                t.add(Counter::SettleEscapes, escaped);
             }
         }
         self.commit_nbas(&mut nba);

@@ -14,7 +14,7 @@
 //! exactly as the interpreter's bit-loop would on a definite value.
 //!
 //! Stores replicate the interpreter's compare-and-set: a value change
-//! marks the signal dirty, driving the levelized sweep's unit
+//! marks the signal dirty, driving the compiled sweep's unit
 //! skipping. Non-blocking stores queue into the shared NBA list, so
 //! commit ordering against interpreted (escaped) processes in the same
 //! phase is preserved.

@@ -4,22 +4,21 @@
 //! input cone is two-state; these tests pin down the three regimes —
 //! all-X power-up, X injected mid-run at a cone boundary, and a design
 //! that never leaves four-state — asserting bit-identical values
-//! against `SettleMode::Fixpoint` throughout, plus the fast-path /
-//! escape telemetry that `tracedump` reports.
+//! against the global-fixpoint `Simulator::reference` oracle throughout,
+//! plus the fast-path / escape telemetry that `tracedump` reports.
 
 use std::sync::Arc;
 use symbfuzz_logic::{Bit, LogicVec};
 use symbfuzz_netlist::elaborate_src;
-use symbfuzz_sim::{Reentry, SettleMode, Simulator};
+use symbfuzz_sim::{Reentry, Simulator};
 use symbfuzz_telemetry::{Collector, Counter, Gauge};
 
 fn pair(src: &str, top: &str) -> (Simulator, Simulator) {
     let design = Arc::new(elaborate_src(src, top).unwrap());
-    let cmp = Simulator::new(Arc::clone(&design));
-    let mut fix = Simulator::new(design);
-    fix.set_settle_mode(SettleMode::Fixpoint);
-    let _ = fix.settle();
-    (cmp, fix)
+    (
+        Simulator::new(Arc::clone(&design)),
+        Simulator::reference(design),
+    )
 }
 
 const COUNTER_SRC: &str = "module m(input clk, input rst_n, input [7:0] d,
