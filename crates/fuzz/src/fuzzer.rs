@@ -96,7 +96,6 @@ pub struct SymbFuzz {
     vectors: u64,
     stagnation: u32,
     bugs: Vec<BugRecord>,
-    seen_bugs: HashSet<String>,
     series: Vec<CoverageSample>,
     resources: ResourceStats,
     /// Coverage points at the end of the previous interval.
@@ -199,7 +198,6 @@ impl SymbFuzz {
             vectors: 0,
             stagnation: 0,
             bugs: Vec::new(),
-            seen_bugs: HashSet::new(),
             series: Vec::new(),
             resources: ResourceStats::default(),
             last_coverage: 0,
@@ -662,22 +660,21 @@ impl SymbFuzz {
 
             let _props = telemetry.phase_owned(Phase::Props);
             let violations = self.checker.on_cycle(self.sim.cycle(), self.sim.values());
+            // The checker returns each property's first failure only.
             for v in violations {
-                if self.seen_bugs.insert(v.property.clone()) {
-                    telemetry.record(Event::BugFired {
-                        property: v.property.clone(),
-                        vector: self.vectors,
-                    });
-                    self.bugs.push(BugRecord {
-                        property: v.property,
-                        cycle: v.cycle,
-                        vectors: self.vectors,
-                        node: Some(outcome.node.0 as u64),
-                        mechanism: prov.mechanism.name().to_string(),
-                        goal: prov.goal,
-                        checkpoint: prov.checkpoint.map(|n| n.0 as u64),
-                    });
-                }
+                telemetry.record(Event::BugFired {
+                    property: v.property.clone(),
+                    vector: self.vectors,
+                });
+                self.bugs.push(BugRecord {
+                    property: v.property,
+                    cycle: v.cycle,
+                    vectors: self.vectors,
+                    node: Some(outcome.node.0 as u64),
+                    mechanism: prov.mechanism.name().to_string(),
+                    goal: prov.goal,
+                    checkpoint: prov.checkpoint.map(|n| n.0 as u64),
+                });
             }
         }
     }

@@ -124,7 +124,16 @@ impl Property {
     /// Evaluates the property at the newest frame of `frames`
     /// (`frames[len-1]` is "now", `frames[len-1-n]` is `$past` by `n`).
     /// Returns `true` when the property holds or is vacuous.
+    ///
+    /// This full-frame form is the reference semantics; the
+    /// [`PropertyChecker`](crate::PropertyChecker) evaluates the same
+    /// expressions over its watched-signal window.
     pub fn holds(&self, frames: &[Vec<LogicVec>]) -> bool {
+        self.holds_in(frames)
+    }
+
+    /// [`holds`](Self::holds) over any frame source.
+    pub(crate) fn holds_in<F: Frames + ?Sized>(&self, frames: &F) -> bool {
         let t = frames.len() - 1;
         if let Some(a) = &self.antecedent {
             match eval(a, frames, t) {
@@ -138,6 +147,36 @@ impl Property {
             None => true,
             Some(v) => v.to_condition() == Bit::One,
         }
+    }
+
+    /// Every signal the property reads (unsorted, may repeat).
+    pub(crate) fn signals(&self) -> Vec<SignalId> {
+        let mut out = Vec::new();
+        if let Some(a) = &self.antecedent {
+            collect_signals(a, &mut out);
+        }
+        collect_signals(&self.consequent, &mut out);
+        out
+    }
+}
+
+/// Sampled signal values over a run of consecutive cycles: frame
+/// `len() - 1` is "now", frame `len() - 1 - n` is `n` cycles earlier.
+pub(crate) trait Frames {
+    /// Number of frames available (at least 1).
+    fn len(&self) -> usize;
+    /// Value of `s` in frame `t`.
+    fn get(&self, t: usize, s: SignalId) -> &LogicVec;
+}
+
+/// Full value tables, one per cycle.
+impl Frames for [Vec<LogicVec>] {
+    fn len(&self) -> usize {
+        <[Vec<LogicVec>]>::len(self)
+    }
+
+    fn get(&self, t: usize, s: SignalId) -> &LogicVec {
+        &self[t][s.index()]
     }
 }
 
@@ -156,12 +195,37 @@ fn max_depth(e: &PExpr) -> u32 {
     }
 }
 
+fn collect_signals(e: &PExpr, out: &mut Vec<SignalId>) {
+    match e {
+        PExpr::Const(_) => {}
+        PExpr::Sig(s) => out.push(*s),
+        PExpr::Past { expr: a, .. }
+        | PExpr::IsUnknown(a)
+        | PExpr::Stable(a)
+        | PExpr::Rose(a)
+        | PExpr::Fell(a)
+        | PExpr::Unary { operand: a, .. }
+        | PExpr::Index { base: a, .. }
+        | PExpr::Slice { base: a, .. } => collect_signals(a, out),
+        PExpr::Binary { lhs, rhs, .. } => {
+            collect_signals(lhs, out);
+            collect_signals(rhs, out);
+        }
+        PExpr::Ternary { cond, then, els } => {
+            collect_signals(cond, out);
+            collect_signals(then, out);
+            collect_signals(els, out);
+        }
+        PExpr::Concat(parts) => parts.iter().for_each(|p| collect_signals(p, out)),
+    }
+}
+
 /// Evaluates at frame index `t`; `None` when `$past` reaches before the
 /// first frame (vacuous).
-fn eval(e: &PExpr, frames: &[Vec<LogicVec>], t: usize) -> Option<LogicVec> {
+fn eval<F: Frames + ?Sized>(e: &PExpr, frames: &F, t: usize) -> Option<LogicVec> {
     match e {
         PExpr::Const(v) => Some(v.clone()),
-        PExpr::Sig(s) => Some(frames[t][s.index()].clone()),
+        PExpr::Sig(s) => Some(frames.get(t, *s).clone()),
         PExpr::Past { expr, depth } => {
             let d = *depth as usize;
             if t < d {

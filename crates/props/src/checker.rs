@@ -1,8 +1,9 @@
-//! Rolling-history property checker (the UVM-monitor-side scoreboard).
+//! Watched-signal property checker (the UVM-monitor-side scoreboard).
 
-use crate::ast::Property;
+use crate::ast::{Frames, Property};
 use std::collections::VecDeque;
 use symbfuzz_logic::LogicVec;
+use symbfuzz_netlist::SignalId;
 
 /// A recorded property violation (paper §4.9: "the simulator logs the
 /// property name \[and\] simulation timestamp").
@@ -14,11 +15,16 @@ pub struct Violation {
     pub cycle: u64,
 }
 
-/// Checks a set of properties against every sampled cycle.
+/// Checks a set of properties against every sampled cycle and records
+/// the first failure of each.
 ///
 /// Feed one full value frame per clock cycle via
-/// [`on_cycle`](Self::on_cycle); the checker keeps just enough history
-/// for the deepest `$past` among its properties.
+/// [`on_cycle`](Self::on_cycle). The current cycle is read straight from
+/// that frame. History is a window over the *watched* signals only —
+/// those the properties reference — holding as many past cycles as the
+/// deepest `$past`/`$stable`/`$rose`/`$fell` needs, and nothing when no
+/// property looks back. A property that has failed is not evaluated
+/// again.
 ///
 /// # Examples
 ///
@@ -50,8 +56,17 @@ pub struct Violation {
 #[derive(Debug, Clone, Default)]
 pub struct PropertyChecker {
     properties: Vec<Property>,
+    /// Referenced signals, sorted and deduplicated; the slot order of
+    /// every history frame.
+    watched: Vec<SignalId>,
+    /// Signal index → slot in a history frame (only watched entries
+    /// are meaningful).
+    slot: Vec<u32>,
+    /// Past frames of watched values, oldest first, at most `max_depth`.
     history: VecDeque<Vec<LogicVec>>,
     max_depth: usize,
+    /// Whether each property has failed already.
+    fired: Vec<bool>,
     violations: Vec<Violation>,
     checked_cycles: u64,
 }
@@ -64,9 +79,19 @@ impl PropertyChecker {
             .map(|p| p.history_depth() as usize)
             .max()
             .unwrap_or(0);
+        let mut watched: Vec<SignalId> = properties.iter().flat_map(Property::signals).collect();
+        watched.sort_unstable();
+        watched.dedup();
+        let mut slot = vec![0; watched.last().map_or(0, |s| s.index() + 1)];
+        for (i, s) in watched.iter().enumerate() {
+            slot[s.index()] = i as u32;
+        }
         PropertyChecker {
+            fired: vec![false; properties.len()],
             properties,
-            history: VecDeque::new(),
+            watched,
+            slot,
+            history: VecDeque::with_capacity(max_depth),
             max_depth,
             violations: Vec::new(),
             checked_cycles: 0,
@@ -78,12 +103,14 @@ impl PropertyChecker {
         &self.properties
     }
 
-    /// Violations recorded so far, in detection order.
+    /// The first failure of each property that has failed, in
+    /// detection order: at most one record per property.
     pub fn violations(&self) -> &[Violation] {
         &self.violations
     }
 
-    /// Names of properties that have fired at least once.
+    /// Names of properties that have failed (first failure per
+    /// property), sorted and deduplicated.
     pub fn violated_names(&self) -> Vec<&str> {
         let mut names: Vec<&str> = self
             .violations
@@ -106,27 +133,61 @@ impl PropertyChecker {
         self.history.clear();
     }
 
-    /// Ingests one sampled frame and evaluates every property at this
-    /// cycle. Returns the violations detected *this* cycle.
+    /// Ingests one sampled frame and evaluates, at this cycle, every
+    /// property that has not failed yet. Returns the properties that
+    /// fail here for the first time; later failures of the same
+    /// property are neither returned nor recorded.
     pub fn on_cycle(&mut self, cycle: u64, values: &[LogicVec]) -> Vec<Violation> {
-        self.history.push_back(values.to_vec());
-        while self.history.len() > self.max_depth + 1 {
-            self.history.pop_front();
-        }
         self.checked_cycles += 1;
-        let frames: Vec<Vec<LogicVec>> = self.history.iter().cloned().collect();
+        if self.violations.len() == self.properties.len() {
+            // Every property has fired: nothing left to evaluate.
+            return Vec::new();
+        }
+        let window = Window {
+            past: &self.history,
+            now: values,
+            slot: &self.slot,
+        };
         let mut new = Vec::new();
-        for p in &self.properties {
-            if !p.holds(&frames) {
-                let v = Violation {
+        for (p, fired) in self.properties.iter().zip(&mut self.fired) {
+            if !*fired && !p.holds_in(&window) {
+                *fired = true;
+                new.push(Violation {
                     property: p.name().to_string(),
                     cycle,
-                };
-                new.push(v.clone());
-                self.violations.push(v);
+                });
             }
         }
+        self.violations.extend_from_slice(&new);
+        if self.max_depth > 0 {
+            if self.history.len() == self.max_depth {
+                self.history.pop_front();
+            }
+            let frame = self.watched.iter().map(|s| values[s.index()].clone());
+            self.history.push_back(frame.collect());
+        }
         new
+    }
+}
+
+/// One cycle as the properties see it: the watched-signal history
+/// followed by the full current frame.
+struct Window<'a> {
+    past: &'a VecDeque<Vec<LogicVec>>,
+    now: &'a [LogicVec],
+    slot: &'a [u32],
+}
+
+impl Frames for Window<'_> {
+    fn len(&self) -> usize {
+        self.past.len() + 1
+    }
+
+    fn get(&self, t: usize, s: SignalId) -> &LogicVec {
+        match self.past.get(t) {
+            Some(frame) => &frame[self.slot[s.index()] as usize],
+            None => &self.now[s.index()],
+        }
     }
 }
 
@@ -264,6 +325,35 @@ mod tests {
         checker.reset_history();
         checker.on_cycle(sim.cycle(), sim.values());
         assert!(checker.violations().is_empty()); // vacuous on first frame
+    }
+
+    /// A property failing on every cycle is recorded once: the log
+    /// must not grow with the campaign.
+    #[test]
+    fn persistent_failure_is_recorded_once() {
+        let d = elaborate_src(
+            "module m(input clk, input a, output logic b);
+               always_ff @(posedge clk) b <= a;
+             endmodule",
+            "m",
+        )
+        .unwrap();
+        let p = Property::parse("a_follows_b", "a == $past(b)", &d).unwrap();
+        let mut checker = PropertyChecker::new(vec![p]);
+        let mut values = vec![LogicVec::zeros(1); d.signals.len()];
+        values[d.signal_by_name("b").unwrap().index()] = LogicVec::from_u64(1, 1);
+        checker.on_cycle(0, &values); // $past out of history: vacuous
+        let mut returned = Vec::new();
+        for cycle in 1..=10_000 {
+            returned.extend(checker.on_cycle(cycle, &values));
+        }
+        let first = Violation {
+            property: "a_follows_b".to_string(),
+            cycle: 1,
+        };
+        assert_eq!(returned, vec![first.clone()]);
+        assert_eq!(checker.violations(), &[first]);
+        assert_eq!(checker.checked_cycles(), 10_001);
     }
 
     #[test]

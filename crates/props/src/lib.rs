@@ -12,10 +12,11 @@
 //!   `$rose(expr)`, `$fell(expr)`;
 //! * design constants (enum variants, parameters) by name.
 //!
-//! A property is checked every clock cycle against a rolling history of
-//! sampled signal values; a failure produces a [`Violation`] with the
-//! cycle number, which the fuzzer logs into its bug report
-//! (Algorithm 1, lines 23–25).
+//! A property is checked every clock cycle against the current value
+//! table plus a short history of the signals it references. The first
+//! failure per property produces a [`Violation`] with the cycle number,
+//! which the fuzzer logs into its bug report (Algorithm 1, lines
+//! 23–25); a property that has failed is not checked again.
 //!
 //! A property holds when it evaluates to true *or* is vacuous (an
 //! implication whose antecedent is false, or a `$past` reaching before
