@@ -21,10 +21,9 @@ use symbfuzz_bench::covreport::{
 };
 use symbfuzz_bench::experiments::resource_profile;
 use symbfuzz_bench::render::save_json;
-use symbfuzz_bench::trace::parse_trace;
 use symbfuzz_bench::{flush_trace, parse_bench_args};
 use symbfuzz_designs::processor_benchmarks;
-use symbfuzz_telemetry::info;
+use symbfuzz_telemetry::{info, parse_trace};
 
 fn check_files(paths: &[String]) -> ExitCode {
     let mut ok = true;

@@ -13,10 +13,9 @@
 //! campaign state, so the JSON and HTML bytes are identical at any
 //! `--jobs` count.
 
-use crate::trace::TraceRecord;
 use serde::{Deserialize, Serialize};
 use symbfuzz_core::{CampaignResult, CovMap, CoverageSample, FrontierRow, COVMAP_VERSION};
-use symbfuzz_telemetry::{Mechanism, SolveStatus};
+use symbfuzz_telemetry::{Event, Mechanism, Record, SolveStatus, TraceLine};
 
 /// Version stamp of the report schema.
 pub const COVREPORT_VERSION: u32 = 1;
@@ -233,18 +232,28 @@ pub fn build_report(design: &str, budget: u64, results: &[(String, CampaignResul
 /// Per-mechanism tallies of the `NodeCovered` / `EdgeCovered` records
 /// in a parsed JSONL trace, in [`Mechanism::ALL`] order — the trace
 /// join a [`CovReport`] carries as a cross-check of its covmaps.
-pub fn trace_mechanism_counts(records: &[TraceRecord]) -> Vec<MechanismCount> {
+pub fn trace_mechanism_counts(records: &[TraceLine]) -> Vec<MechanismCount> {
     Mechanism::ALL
         .iter()
         .map(|m| MechanismCount {
             mechanism: m.name().to_string(),
             nodes: records
                 .iter()
-                .filter(|r| r.kind == "NodeCovered" && r.str("mechanism") == m.name())
+                .filter(|r| {
+                    matches!(
+                        &r.record,
+                        Record::Event(Event::NodeCovered { mechanism, .. }) if mechanism == m
+                    )
+                })
                 .count() as u64,
             edges: records
                 .iter()
-                .filter(|r| r.kind == "EdgeCovered" && r.str("mechanism") == m.name())
+                .filter(|r| {
+                    matches!(
+                        &r.record,
+                        Record::Event(Event::EdgeCovered { mechanism, .. }) if mechanism == m
+                    )
+                })
                 .count() as u64,
         })
         .collect()
@@ -770,7 +779,7 @@ mod tests {
 {\"t\":3,\"task\":0,\"kind\":\"EdgeCovered\",\"edge\":0,\"src\":0,\"dst\":1,\
 \"vector\":2,\"mechanism\":\"solver\"}
 ";
-        let recs = crate::trace::parse_trace(text).unwrap();
+        let recs = symbfuzz_telemetry::parse_trace(text).unwrap();
         let counts = trace_mechanism_counts(&recs);
         assert_eq!(counts.len(), 3);
         assert_eq!((counts[0].nodes, counts[0].edges), (1, 0));

@@ -82,7 +82,4 @@ pub use solverscope::{
     build_scope_report, conflict_quantiles, render_scope_html, render_scope_markdown,
     validate_bench_artifact, validate_scope_report, ScopeReport, SCOPEREPORT_VERSION,
 };
-pub use trace::{
-    goal_cost_table, parse_line, parse_trace, phase_table, solver_cache_table, timeline,
-    to_json_lines, TraceRecord,
-};
+pub use trace::{goal_cost_table, phase_table, solver_cache_table, timeline};

@@ -6,10 +6,10 @@ use std::sync::Arc;
 use std::time::Instant;
 use symbfuzz_bench::experiments::resource_profile;
 use symbfuzz_bench::pool::merge_telemetry;
-use symbfuzz_bench::trace::{parse_line, phase_table, PHASE_KIND};
+use symbfuzz_bench::trace::phase_table;
 use symbfuzz_core::{FuzzConfig, PropertySpec, Strategy, SymbFuzz};
 use symbfuzz_netlist::elaborate_src;
-use symbfuzz_telemetry::{BufferSink, Collector, Phase};
+use symbfuzz_telemetry::{BufferSink, Collector, Event, Phase, Record, TraceLine};
 
 /// A two-step combination lock: random fuzzing stalls in state 0, so a
 /// short campaign exercises stagnation, symbolic episodes, SMT solves,
@@ -65,8 +65,9 @@ fn merged_telemetry_is_byte_identical_across_job_counts() {
 }
 
 /// Every JSONL line a traced campaign streams passes the schema
-/// parser, and the stream covers at least six event kinds plus phase
-/// spans — the PR's "rich trace" acceptance.
+/// parser and re-emits byte-identically, and the stream covers at
+/// least six event kinds plus phase spans — the "rich trace"
+/// acceptance.
 #[test]
 fn traced_campaign_round_trips_through_schema_parser() {
     let mut fuzzer = lock_fuzzer(20_000);
@@ -76,11 +77,18 @@ fn traced_campaign_round_trips_through_schema_parser() {
     let result = fuzzer.run();
     let lines = handle.lines();
     assert!(lines.len() > 50, "only {} trace lines", lines.len());
+    let records: Vec<TraceLine> = lines
+        .iter()
+        .map(|line| {
+            let rec = TraceLine::parse(line).unwrap_or_else(|e| panic!("bad line `{line}`: {e}"));
+            assert_eq!(rec.to_json(), *line, "re-emission differs");
+            rec
+        })
+        .collect();
     let mut kinds = std::collections::BTreeSet::new();
-    for line in &lines {
-        let rec = parse_line(line).unwrap_or_else(|e| panic!("bad line `{line}`: {e}"));
-        if rec.kind != PHASE_KIND {
-            kinds.insert(rec.kind.clone());
+    for rec in &records {
+        if !matches!(rec.record, Record::Phase { .. }) {
+            kinds.insert(rec.record.kind());
         }
     }
     assert!(
@@ -88,13 +96,13 @@ fn traced_campaign_round_trips_through_schema_parser() {
         "expected >= 6 distinct event kinds, got {kinds:?}"
     );
     // The ring-derived report agrees with what streamed out.
-    let streamed_bugs = lines
+    let streamed_bugs = records
         .iter()
-        .filter(|l| l.contains("\"kind\":\"BugFired\""))
+        .filter(|r| matches!(r.record, Record::Event(Event::BugFired { .. })))
         .count();
+    assert!(streamed_bugs > 0, "the planted bug fires");
     assert_eq!(streamed_bugs, result.bugs.len());
     // And the rendered phase table accounts for every phase span.
-    let records: Vec<_> = lines.iter().map(|l| parse_line(l).unwrap()).collect();
     let table = phase_table(&records);
     assert!(table.contains("| mutate |"));
     assert!(table.contains("100.0%"));

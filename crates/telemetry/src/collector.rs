@@ -2,6 +2,7 @@
 
 use crate::clock::{Clock, ManualClock, MonotonicClock};
 use crate::event::{Event, TimedEvent};
+use crate::record::{Record, TraceLine};
 use crate::sink::{NullSink, TraceSink};
 use crate::snapshot::{MetricsSnapshot, PhaseStat};
 use std::collections::VecDeque;
@@ -370,14 +371,25 @@ impl Collector {
         self.task.load(Ordering::Relaxed)
     }
 
-    /// Streams one pre-formatted JSONL record to the sink, if a sink is
-    /// attached. The synthetic-record seam for layers (the flight
-    /// recorder) that format their own lines; like every record path
-    /// this is a no-op on a disabled sink.
-    pub fn trace_line(&self, line: &str) {
-        let mut sink = self.sink.lock().unwrap();
-        if sink.enabled() {
-            sink.write_line(line);
+    /// Streams one record to the sink, stamped with the current clock
+    /// reading and the task label. A no-op on a disabled sink: nothing
+    /// is formatted.
+    pub fn emit(&self, record: Record) {
+        self.stream(self.clock.now_micros(), || record);
+    }
+
+    /// Formats and writes one line if the sink is enabled; `record` is
+    /// only called then.
+    fn stream(&self, t: u64, record: impl FnOnce() -> Record) {
+        if let Ok(mut sink) = self.sink.lock() {
+            if sink.enabled() {
+                let line = TraceLine {
+                    t,
+                    task: self.task(),
+                    record: record(),
+                };
+                sink.write_line(&line.to_json());
+            }
         }
     }
 
@@ -439,21 +451,13 @@ impl Collector {
     /// campaign, plus the runtime witness-oracle miss count. Call once
     /// at campaign end.
     pub fn emit_settle_metrics(&self) {
-        let mut sink = self.sink.lock().unwrap();
-        if !sink.enabled() {
-            return;
-        }
-        let t = self.clock.now_micros();
-        let line = format!(
-            "{{\"t\":{t},\"task\":{},\"kind\":\"Metrics\",\"settle_fast_path\":{},\"settle_escapes\":{},\"x_island_cones\":{},\"settle_sweeps\":{},\"witness_misses\":{}}}",
-            self.task.load(Ordering::Relaxed),
-            self.get(Counter::SettleFastPath),
-            self.get(Counter::SettleEscapes),
-            self.gauge(Gauge::XIslandCones),
-            self.get(Counter::SettleSweeps),
-            self.get(Counter::WitnessMisses),
-        );
-        sink.write_line(&line);
+        self.emit(Record::Metrics {
+            settle_fast_path: self.get(Counter::SettleFastPath),
+            settle_escapes: self.get(Counter::SettleEscapes),
+            x_island_cones: self.gauge(Gauge::XIslandCones),
+            settle_sweeps: self.get(Counter::SettleSweeps),
+            witness_misses: self.get(Counter::WitnessMisses),
+        });
     }
 
     /// Streams one `SolverCache` summary record to the sink: the
@@ -461,32 +465,18 @@ impl Collector {
     /// so `tracedump` can report the cache hit rate. Call once at
     /// campaign end; no-op when no sink is attached.
     pub fn emit_solver_cache_metrics(&self) {
-        let mut sink = self.sink.lock().unwrap();
-        if !sink.enabled() {
-            return;
-        }
-        let t = self.clock.now_micros();
-        let line = format!(
-            "{{\"t\":{t},\"task\":{},\"kind\":\"SolverCache\",\"bitblast_cache_hits\":{},\"bitblast_cache_misses\":{},\"session_reuse_milli\":{}}}",
-            self.task.load(Ordering::Relaxed),
-            self.get(Counter::BitblastCacheHits),
-            self.get(Counter::BitblastCacheMisses),
-            self.gauge(Gauge::SolverSessionReuse),
-        );
-        sink.write_line(&line);
+        self.emit(Record::SolverCache {
+            bitblast_cache_hits: self.get(Counter::BitblastCacheHits),
+            bitblast_cache_misses: self.get(Counter::BitblastCacheMisses),
+            session_reuse_milli: self.gauge(Gauge::SolverSessionReuse),
+        });
     }
 
     /// Records an event: counts it, appends it to the bounded ring and
     /// streams it to the sink when one is attached.
     pub fn record(&self, event: Event) {
         let t = self.clock.now_micros();
-        {
-            let mut sink = self.sink.lock().unwrap();
-            if sink.enabled() {
-                let line = event.to_json_line(t, self.task.load(Ordering::Relaxed));
-                sink.write_line(&line);
-            }
-        }
+        self.stream(t, || Record::Event(event.clone()));
         let dropped = {
             let mut ring = self.ring.lock().unwrap();
             let dropped = ring.len() >= self.ring_cap;
@@ -576,15 +566,10 @@ impl Collector {
         self.phase_count[i].fetch_add(1, Ordering::Relaxed);
         self.phase_self_micros[i].fetch_add(self_micros, Ordering::Relaxed);
         self.phase_hist[i][bucket_of(inclusive)].fetch_add(1, Ordering::Relaxed);
-        let mut sink = self.sink.lock().unwrap();
-        if sink.enabled() {
-            let line = format!(
-                "{{\"t\":{end},\"task\":{},\"kind\":\"Phase\",\"phase\":\"{}\",\"micros\":{self_micros}}}",
-                self.task.load(Ordering::Relaxed),
-                phase.name()
-            );
-            sink.write_line(&line);
-        }
+        self.stream(end, || Record::Phase {
+            phase,
+            micros: self_micros,
+        });
     }
 
     /// Total self-time recorded for a phase.

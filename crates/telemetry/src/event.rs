@@ -1,6 +1,4 @@
-//! The campaign event taxonomy and its JSONL encoding.
-
-use std::fmt::Write as _;
+//! The campaign event taxonomy and the enums its records carry.
 
 /// Why a budgeted analysis stopped before reaching a verdict.
 ///
@@ -187,9 +185,10 @@ impl std::fmt::Display for Mechanism {
 /// One structured trace event from the fuzz loop.
 ///
 /// Each variant maps to one JSONL record kind; [`Event::kind`] is the
-/// schema discriminator and [`Event::KINDS`] the closed set a trace
-/// validator checks against (plus the synthetic `Phase` records the
-/// collector emits when a [`crate::PhaseTimer`] span ends).
+/// schema discriminator and [`Event::KINDS`] the closed set of event
+/// kinds. A trace also carries the synthetic `Phase`, `Metrics`,
+/// `SolverCache` and `Flight` records; [`crate::Record`] wraps all of
+/// them, and [`crate::TraceLine`] writes and parses every line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// An interval ended with more coverage than the previous one.
@@ -366,165 +365,6 @@ impl Event {
             Event::CoreExtracted { .. } => 11,
         }
     }
-
-    /// Renders one JSONL record (no trailing newline): timestamp,
-    /// task label, kind, then the variant's fields.
-    pub fn to_json_line(&self, t: u64, task: u64) -> String {
-        let mut s = String::with_capacity(96);
-        let _ = write!(
-            s,
-            "{{\"t\":{t},\"task\":{task},\"kind\":\"{}\"",
-            self.kind()
-        );
-        match self {
-            Event::CoverageDelta {
-                vectors,
-                coverage,
-                delta,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"vectors\":{vectors},\"coverage\":{coverage},\"delta\":{delta}"
-                );
-            }
-            Event::StagnationEnter { vectors, intervals } => {
-                let _ = write!(s, ",\"vectors\":{vectors},\"intervals\":{intervals}");
-            }
-            Event::SymbolicEpisode {
-                checkpoint,
-                eqns,
-                solve_result,
-            } => {
-                match checkpoint {
-                    Some(cp) => {
-                        let _ = write!(s, ",\"checkpoint\":{cp}");
-                    }
-                    None => s.push_str(",\"checkpoint\":null"),
-                }
-                let _ = write!(
-                    s,
-                    ",\"eqns\":{eqns},\"solve_result\":\"{}\"",
-                    solve_result.serial()
-                );
-            }
-            Event::SmtSolve {
-                vars,
-                clauses,
-                sat,
-                micros,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"vars\":{vars},\"clauses\":{clauses},\"sat\":{sat},\"micros\":{micros}"
-                );
-            }
-            Event::PartialReset { prefix_len } => {
-                let _ = write!(s, ",\"prefix_len\":{prefix_len}");
-            }
-            Event::FullReset => {}
-            Event::BugFired { property, vector } => {
-                s.push_str(",\"property\":\"");
-                escape_json_into(property, &mut s);
-                let _ = write!(s, "\",\"vector\":{vector}");
-            }
-            Event::BudgetExhausted {
-                reason,
-                level,
-                conflicts,
-                decisions,
-                propagations,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"reason\":\"{}\",\"level\":{level},\"conflicts\":{conflicts},\
-                     \"decisions\":{decisions},\"propagations\":{propagations}",
-                    reason.name()
-                );
-            }
-            Event::NodeCovered {
-                node,
-                vector,
-                mechanism,
-                goal,
-                checkpoint,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"node\":{node},\"vector\":{vector},\"mechanism\":\"{}\"",
-                    mechanism.name()
-                );
-                match goal {
-                    Some(g) => {
-                        let _ = write!(s, ",\"goal\":{g}");
-                    }
-                    None => s.push_str(",\"goal\":null"),
-                }
-                match checkpoint {
-                    Some(cp) => {
-                        let _ = write!(s, ",\"checkpoint\":{cp}");
-                    }
-                    None => s.push_str(",\"checkpoint\":null"),
-                }
-            }
-            Event::EdgeCovered {
-                edge,
-                src,
-                dst,
-                vector,
-                mechanism,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"edge\":{edge},\"src\":{src},\"dst\":{dst},\
-                     \"vector\":{vector},\"mechanism\":\"{}\"",
-                    mechanism.name()
-                );
-            }
-            Event::GoalSolveCost {
-                register,
-                value,
-                status,
-                depth,
-                calls,
-                conflicts,
-                learned,
-                restarts,
-                hist,
-            } => {
-                s.push_str(",\"register\":\"");
-                escape_json_into(register, &mut s);
-                let _ = write!(
-                    s,
-                    "\",\"value\":{value},\"status\":\"{}\",\"depth\":{depth},\
-                     \"calls\":{calls},\"conflicts\":{conflicts},\"learned\":{learned},\
-                     \"restarts\":{restarts},\"hist\":[",
-                    status.serial()
-                );
-                for (i, b) in hist.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "{b}");
-                }
-                s.push(']');
-            }
-            Event::CoreExtracted {
-                register,
-                value,
-                core,
-                blamed,
-            } => {
-                s.push_str(",\"register\":\"");
-                escape_json_into(register, &mut s);
-                let _ = write!(
-                    s,
-                    "\",\"value\":{value},\"core\":{core},\"blamed\":{blamed}"
-                );
-            }
-        }
-        s.push('}');
-        s
-    }
 }
 
 /// An event plus the timestamp it was recorded at (ring-buffer entry).
@@ -534,23 +374,6 @@ pub struct TimedEvent {
     pub micros: u64,
     /// The event.
     pub event: Event,
-}
-
-/// Appends `s` to `out` with JSON string escaping.
-pub fn escape_json_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -633,93 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn json_lines_are_well_formed() {
-        let e = Event::SymbolicEpisode {
-            checkpoint: Some(5),
-            eqns: 12,
-            solve_result: SolveStatus::Sat,
-        };
-        assert_eq!(
-            e.to_json_line(42, 1),
-            "{\"t\":42,\"task\":1,\"kind\":\"SymbolicEpisode\",\"checkpoint\":5,\
-             \"eqns\":12,\"solve_result\":\"sat\"}"
-        );
-        let e = Event::FullReset;
-        assert_eq!(
-            e.to_json_line(0, 0),
-            "{\"t\":0,\"task\":0,\"kind\":\"FullReset\"}"
-        );
-        let e = Event::BudgetExhausted {
-            reason: UnknownReason::WallClock,
-            level: 2,
-            conflicts: 7,
-            decisions: 9,
-            propagations: 11,
-        };
-        assert_eq!(
-            e.to_json_line(3, 0),
-            "{\"t\":3,\"task\":0,\"kind\":\"BudgetExhausted\",\"reason\":\"wall_clock\",\
-             \"level\":2,\"conflicts\":7,\"decisions\":9,\"propagations\":11}"
-        );
-        let e = Event::NodeCovered {
-            node: 5,
-            vector: 17,
-            mechanism: Mechanism::ConstrainedRandom,
-            goal: None,
-            checkpoint: None,
-        };
-        assert_eq!(
-            e.to_json_line(17, 2),
-            "{\"t\":17,\"task\":2,\"kind\":\"NodeCovered\",\"node\":5,\"vector\":17,\
-             \"mechanism\":\"random\",\"goal\":null,\"checkpoint\":null}"
-        );
-        let e = Event::EdgeCovered {
-            edge: 2,
-            src: 0,
-            dst: 5,
-            vector: 17,
-            mechanism: Mechanism::SolverGuided,
-        };
-        assert_eq!(
-            e.to_json_line(17, 2),
-            "{\"t\":17,\"task\":2,\"kind\":\"EdgeCovered\",\"edge\":2,\"src\":0,\"dst\":5,\
-             \"vector\":17,\"mechanism\":\"solver\"}"
-        );
-    }
-
-    #[test]
-    fn solver_introspection_lines_are_well_formed() {
-        let e = Event::GoalSolveCost {
-            register: "state".into(),
-            value: 3,
-            status: SolveStatus::Unknown(UnknownReason::Conflicts),
-            depth: 4,
-            calls: 3,
-            conflicts: 120,
-            learned: 100,
-            restarts: 1,
-            hist: vec![0, 1, 2],
-        };
-        assert_eq!(
-            e.to_json_line(9, 1),
-            "{\"t\":9,\"task\":1,\"kind\":\"GoalSolveCost\",\"register\":\"state\",\
-             \"value\":3,\"status\":\"unknown:conflicts\",\"depth\":4,\"calls\":3,\
-             \"conflicts\":120,\"learned\":100,\"restarts\":1,\"hist\":[0,1,2]}"
-        );
-        let e = Event::CoreExtracted {
-            register: "lock\"r".into(),
-            value: 7,
-            core: 2,
-            blamed: 2,
-        };
-        assert_eq!(
-            e.to_json_line(1, 0),
-            "{\"t\":1,\"task\":0,\"kind\":\"CoreExtracted\",\"register\":\"lock\\\"r\",\
-             \"value\":7,\"core\":2,\"blamed\":2}"
-        );
-    }
-
-    #[test]
     fn mechanism_names_round_trip() {
         for m in Mechanism::ALL {
             assert_eq!(Mechanism::parse(m.name()), Some(m));
@@ -727,16 +463,6 @@ mod tests {
         }
         assert!(Mechanism::parse("telepathy").is_none());
         assert_eq!(Mechanism::ALL.len(), Mechanism::COUNT);
-    }
-
-    #[test]
-    fn property_names_are_escaped() {
-        let e = Event::BugFired {
-            property: "a\"b\\c\n".into(),
-            vector: 1,
-        };
-        let line = e.to_json_line(0, 0);
-        assert!(line.contains("a\\\"b\\\\c\\n"));
     }
 
     #[test]

@@ -13,6 +13,15 @@
 //!   bounded in-memory ring and optionally streamed as JSONL through a
 //!   [`TraceSink`].
 //!
+//! The JSONL trace schema lives in one module, in both directions:
+//! [`TraceLine`] wraps a [`Record`] (an [`Event`] or a synthetic
+//! `Phase`, `Metrics`, `SolverCache` or `Flight` record), writes it
+//! with [`TraceLine::to_json`] and parses it back with
+//! [`TraceLine::parse`] / [`parse_trace`]. The collector formats every
+//! line it streams ([`Collector::record`], phase spans,
+//! [`Collector::emit`]) through `to_json`, and only when the sink is
+//! enabled.
+//!
 //! Timestamps come from a [`Clock`]. The default is the deterministic
 //! [`ManualClock`] (driven by the input-vector count), which keeps
 //! campaign reports byte-identical across `--jobs` values; wall-clock
@@ -22,6 +31,7 @@ mod clock;
 mod collector;
 mod event;
 mod log;
+mod record;
 mod sampler;
 mod sink;
 mod snapshot;
@@ -31,8 +41,9 @@ pub use collector::{
     bucket_of, Collector, Counter, Gauge, OwnedPhaseTimer, Phase, PhaseTimer, DEFAULT_RING_CAP,
     HIST_BUCKETS,
 };
-pub use event::{escape_json_into, Event, Mechanism, SolveStatus, TimedEvent, UnknownReason};
+pub use event::{Event, Mechanism, SolveStatus, TimedEvent, UnknownReason};
 pub use log::{log_at, log_enabled, log_level, set_log_level, Level};
+pub use record::{parse_trace, Record, TraceLine};
 pub use sampler::{
     flight_line, merge_flight, status_json, write_atomic, FlightSample, SampleState, Sampler,
     DEFAULT_SAMPLE_RING_CAP, FLIGHT_VERSION,

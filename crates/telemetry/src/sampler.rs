@@ -20,6 +20,7 @@
 //! ever observing a torn write.
 
 use crate::collector::{Collector, Counter};
+use crate::record::{escape_json_into, Record};
 use crate::snapshot::MetricsSnapshot;
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
@@ -127,7 +128,7 @@ fn push_pairs(out: &mut String, pairs: &[(String, u64)]) {
             out.push(',');
         }
         out.push('"');
-        crate::event::escape_json_into(name, out);
+        escape_json_into(name, out);
         out.push_str("\":");
         out.push_str(&v.to_string());
     }
@@ -169,7 +170,7 @@ pub fn status_json(
     push_pairs(&mut out, &phases);
     for (name, json) in extra {
         out.push_str(",\"");
-        crate::event::escape_json_into(name, &mut out);
+        escape_json_into(name, &mut out);
         out.push_str("\":");
         out.push_str(json);
     }
@@ -333,21 +334,16 @@ impl Sampler {
         // Mirror the headline numbers into the trace stream so a
         // `--trace-out` file narrates the flight without a second
         // artifact (no-op when the collector's sink is disabled).
-        c.trace_line(&format!(
-            "{{\"t\":{},\"task\":{},\"kind\":\"Flight\",\"interval\":{},\"vectors\":{},\
-             \"coverage\":{},\"stagnant\":{},\"d_vectors\":{},\"d_solver_calls\":{},\
-             \"d_settle_fast_path\":{},\"d_settle_escapes\":{}}}",
-            sample.t,
-            sample.task,
-            sample.interval,
-            sample.vectors,
-            sample.coverage,
-            sample.stagnant,
-            sample.d_counters[counter_index(Counter::Vectors)],
-            sample.d_counters[counter_index(Counter::SolverCalls)],
-            sample.d_counters[counter_index(Counter::SettleFastPath)],
-            sample.d_counters[counter_index(Counter::SettleEscapes)],
-        ));
+        c.emit(Record::Flight {
+            interval: sample.interval,
+            vectors: sample.vectors,
+            coverage: sample.coverage,
+            stagnant: sample.stagnant,
+            d_vectors: sample.d_counters[counter_index(Counter::Vectors)],
+            d_solver_calls: sample.d_counters[counter_index(Counter::SolverCalls)],
+            d_settle_fast_path: sample.d_counters[counter_index(Counter::SettleFastPath)],
+            d_settle_escapes: sample.d_counters[counter_index(Counter::SettleEscapes)],
+        });
         if self.ring.len() >= self.cap {
             self.ring.pop_front();
             self.dropped += 1;
