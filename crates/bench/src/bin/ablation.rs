@@ -5,32 +5,40 @@
 //! * shallow solving — one-cycle dependency equations only;
 //! * no solver — coverage-guided random (feedback without guidance).
 //!
-//! Usage: `ablation [budget] [bench_index] [--jobs N]
-//! [--log-level LEVEL] [--trace-out PATH]` (defaults 30000, 0).
+//! Usage: `ablation [budget] [bench_index] [--jobs N] [--log-level
+//! LEVEL] [--trace-out PATH] [--solver-budget N] [--solve-wall-ms MS]
+//! [--snapshot-budget BYTES] [--introspect] [--sample-every N
+//! [--flight-out PATH] [--status-out PATH]] [--incremental]
+//! [--solver-cache-budget BYTES] [--affinity]` (defaults 30000, 0; the
+//! shared flags are described in `symbfuzz_bench::args`). Each variant
+//! takes the given options, then pins the mechanism it ablates.
 
 use std::sync::Arc;
-use symbfuzz_bench::experiments::attach_telemetry;
+use symbfuzz_bench::parse_bench_args;
 use symbfuzz_bench::pool::run_pool;
 use symbfuzz_bench::render::save_json;
-use symbfuzz_bench::{flush_trace, parse_bench_args};
 use symbfuzz_core::{CampaignResult, FuzzConfig, Strategy, SymbFuzz};
 use symbfuzz_designs::processor_benchmarks;
 
 fn main() {
-    let args = parse_bench_args();
+    let args = parse_bench_args("ablation [budget] [bench_index]", &[]);
     let budget: u64 = args.pos(0, 30_000);
     let bench: usize = args.pos(1, 0);
     let b = &processor_benchmarks()[bench];
     let design = b.design().expect("benchmark elaborates");
     let props = b.property_specs();
 
-    let base = FuzzConfig {
-        interval: 100,
-        threshold: 2,
-        max_vectors: budget,
-        seed: 0xAB1A7E,
-        ..FuzzConfig::default()
-    };
+    let base = args
+        .run
+        .apply(
+            FuzzConfig::builder()
+                .interval(100)
+                .threshold(2)
+                .max_vectors(budget)
+                .seed(0xAB1A7E),
+        )
+        .build()
+        .expect("ablation config is consistent");
     let variants: Vec<(&str, FuzzConfig)> = vec![
         ("full SymbFuzz", base.clone()),
         (
@@ -57,12 +65,14 @@ fn main() {
     ];
 
     let results: Vec<(String, CampaignResult)> =
-        run_pool(&variants, args.jobs, |task, (name, cfg)| {
+        run_pool(&variants, args.run.jobs, |task, (name, cfg)| {
             let mut fuzzer =
                 SymbFuzz::new(Arc::clone(&design), Strategy::SymbFuzz, cfg.clone(), &props)
                     .expect("properties compile");
-            attach_telemetry(&mut fuzzer, task);
-            (name.to_string(), fuzzer.run())
+            args.run.attach(&mut fuzzer, task);
+            let result = fuzzer.run();
+            fuzzer.telemetry().flush();
+            (name.to_string(), result)
         });
 
     println!("# Ablation on `{}` — {budget} vectors each\n", b.name);
@@ -80,5 +90,5 @@ fn main() {
         );
     }
     save_json("ablation", &results).expect("write results/ablation.json");
-    flush_trace();
+    args.run.flush();
 }

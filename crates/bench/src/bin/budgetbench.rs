@@ -3,28 +3,35 @@
 //! (`EXPERIMENTS.md`, "Coverage vs solver budget" and "Incremental
 //! solver A/B").
 //!
-//! Usage: `budgetbench [max_vectors] [budget...] [--jobs N]
-//! [--log-level LEVEL] [--trace-out PATH] [--incremental]
-//! [--solver-cache-budget N] [--affinity]` — default 1 000 vectors
-//! at 500 / 2 000 / 10 000 conflicts. `budgetbench --smoke` runs one
+//! Usage: `budgetbench [--smoke] [max_vectors] [budget...] [--jobs N]
+//! [--log-level LEVEL] [--trace-out PATH] [--solver-budget N]
+//! [--solve-wall-ms MS] [--snapshot-budget BYTES] [--introspect]
+//! [--sample-every N [--flight-out PATH] [--status-out PATH]]
+//! [--incremental] [--solver-cache-budget BYTES] [--affinity]` —
+//! default 1 000 vectors at 500 / 2 000 / 10 000 conflicts; the shared
+//! flags are described in `symbfuzz_bench::args`. Each row's conflict
+//! ceiling overrides `--solver-budget`. `budgetbench --smoke` runs one
 //! tiny ceiling (CI: proves a budget-exhausted campaign terminates
 //! cleanly and the A/B artifact stays schema-valid).
 
 use symbfuzz_bench::experiments::{budget_profile, solvercache_profile};
+use symbfuzz_bench::parse_bench_args;
 use symbfuzz_bench::render::{render_budget_profile, render_solvercache_profile, save_json};
-use symbfuzz_bench::{flush_trace, parse_bench_args};
 
 fn main() {
-    let args = parse_bench_args();
-    if args.rest.iter().any(|a| a == "--smoke") {
-        let rows = budget_profile(&[500], 300, args.jobs);
+    let mut args = parse_bench_args(
+        "budgetbench [--smoke] [max_vectors] [budget...]",
+        &["--smoke"],
+    );
+    if args.take_flag("--smoke") {
+        let rows = budget_profile(&[500], 300, &args.run);
         println!("{}", render_budget_profile(&rows));
         assert!(
             rows.iter()
                 .any(|r| r.design == "hard_factor" && r.budget_exhaustions >= 1),
             "smoke run never exhausted its solver budget: {rows:?}"
         );
-        let ab = solvercache_profile(300, 20_000, args.jobs);
+        let ab = solvercache_profile(300, 20_000, &args.run);
         println!("{}", render_solvercache_profile(&ab));
         save_json("BENCH_solvercache", &ab).expect("write results/BENCH_solvercache.json");
         println!("budget smoke OK: campaign degraded gracefully and terminated");
@@ -39,14 +46,14 @@ fn main() {
     } else {
         vec![500, 2_000, 10_000]
     };
-    let rows = budget_profile(&budgets, max_vectors, args.jobs);
+    let rows = budget_profile(&budgets, max_vectors, &args.run);
     println!("# Coverage vs solver budget ({max_vectors} vectors)\n");
     println!("{}", render_budget_profile(&rows));
     save_json("BENCH_budget", &rows).expect("write results/BENCH_budget.json");
     let ceiling = budgets.iter().copied().max().unwrap_or(10_000);
-    let ab = solvercache_profile(max_vectors, ceiling, args.jobs);
+    let ab = solvercache_profile(max_vectors, ceiling, &args.run);
     println!("# Incremental solver A/B (conflict ceiling {ceiling})\n");
     println!("{}", render_solvercache_profile(&ab));
     save_json("BENCH_solvercache", &ab).expect("write results/BENCH_solvercache.json");
-    flush_trace();
+    args.run.flush();
 }

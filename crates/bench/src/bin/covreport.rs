@@ -6,10 +6,15 @@
 //!
 //! Usage:
 //!
-//! * `covreport [budget] [bench_index] [--jobs N] [--trace PATH]
-//!   [--log-level LEVEL] [--trace-out PATH]` — generate. `--trace`
-//!   joins an existing JSONL campaign trace (schema-checked) into the
-//!   report's cross-check section; `--trace-out` records this run.
+//! * `covreport [budget] [bench_index] [--trace PATH] [--jobs N]
+//!   [--log-level LEVEL] [--trace-out PATH] [--solver-budget N]
+//!   [--solve-wall-ms MS] [--snapshot-budget BYTES] [--introspect]
+//!   [--sample-every N [--flight-out PATH] [--status-out PATH]]
+//!   [--incremental] [--solver-cache-budget BYTES] [--affinity]` —
+//!   generate (defaults 5000, 0). `--trace` joins an existing JSONL
+//!   campaign trace (schema-checked) into the report's cross-check
+//!   section; `--trace-out` records this run; the other shared flags
+//!   are described in `symbfuzz_bench::args`.
 //! * `covreport --check FILE...` — validate existing report / covmap
 //!   JSON artifacts against their schemas; exits non-zero on the first
 //!   violation.
@@ -20,8 +25,8 @@ use symbfuzz_bench::covreport::{
     validate_report,
 };
 use symbfuzz_bench::experiments::resource_profile;
+use symbfuzz_bench::parse_bench_args;
 use symbfuzz_bench::render::save_json;
-use symbfuzz_bench::{flush_trace, parse_bench_args};
 use symbfuzz_designs::processor_benchmarks;
 use symbfuzz_telemetry::{info, parse_trace};
 
@@ -58,7 +63,10 @@ fn check_files(paths: &[String]) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args = parse_bench_args();
+    let args = parse_bench_args(
+        "covreport [--check FILE...] [budget] [bench_index] [--trace PATH]",
+        &["--check", "--trace"],
+    );
     let mut trace_path: Option<String> = None;
     let mut check = false;
     let mut positional = Vec::new();
@@ -90,7 +98,7 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     };
-    let results = resource_profile(bench, budget, args.jobs);
+    let results = resource_profile(bench, budget, &args.run);
     let mut report = build_report(name, budget, &results);
     if let Some(path) = trace_path {
         let text = match std::fs::read_to_string(&path) {
@@ -132,6 +140,6 @@ fn main() -> ExitCode {
         "wrote results/covreport_{name}.json, results/covreport_{name}.html and {} covmaps",
         results.len()
     );
-    flush_trace();
+    args.run.flush();
     ExitCode::SUCCESS
 }

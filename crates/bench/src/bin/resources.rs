@@ -2,9 +2,14 @@
 //! campaign telemetry, and the flight-recorder overhead benchmark
 //! (`results/BENCH_telemetry.json`).
 //!
-//! Usage: `resources [budget] [bench_index] [--jobs N]
-//! [--log-level LEVEL] [--trace-out PATH] [--sample-every N]
-//! [--flight-out PATH] [--status-out PATH]`.
+//! Usage: `resources [budget] [bench_index] [--jobs N] [--log-level
+//! LEVEL] [--trace-out PATH] [--solver-budget N] [--solve-wall-ms MS]
+//! [--snapshot-budget BYTES] [--introspect] [--sample-every N
+//! [--flight-out PATH] [--status-out PATH]] [--incremental]
+//! [--solver-cache-budget BYTES] [--affinity]` (defaults 20000, 0; the
+//! shared flags are described in `symbfuzz_bench::args`). The options
+//! apply to the resource-profile campaigns; the overhead A/B arms below
+//! pin their own configs.
 //!
 //! The overhead benchmark runs the same SymbFuzz campaign per
 //! processor benchmark twice — recorder off, then recorder on — and reports vectors/sec for each
@@ -22,9 +27,9 @@ use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
 use std::time::Instant;
 use symbfuzz_bench::experiments::resource_profile;
+use symbfuzz_bench::parse_bench_args;
 use symbfuzz_bench::pool::merge_telemetry;
 use symbfuzz_bench::render::{render_resources, save_json, write_flight_artifacts};
-use symbfuzz_bench::{flush_trace, parse_bench_args};
 use symbfuzz_core::{FuzzConfig, Strategy, SymbFuzz};
 use symbfuzz_designs::processor_benchmarks;
 use symbfuzz_telemetry::info;
@@ -107,10 +112,10 @@ fn load_history() -> Vec<Value> {
 }
 
 fn main() {
-    let args = parse_bench_args();
+    let args = parse_bench_args("resources [budget] [bench_index]", &[]);
     let budget: u64 = args.pos(0, 20_000);
     let bench: usize = args.pos(1, 0);
-    let rows = resource_profile(bench, budget, args.jobs);
+    let rows = resource_profile(bench, budget, &args.run);
     println!("# §5.2 — resource profile\n");
     println!("{}", render_resources(&rows));
     let merged = merge_telemetry(rows.iter().map(|(_, r)| &r.telemetry));
@@ -128,13 +133,13 @@ fn main() {
     let results: Vec<_> = rows.iter().map(|(_, r)| r).collect();
     write_flight_artifacts(
         &results,
-        args.flight_out.as_deref(),
-        args.status_out.as_deref(),
+        args.run.flight_out.as_deref(),
+        args.run.status_out.as_deref(),
     )
     .expect("write flight artifacts");
 
     // Recorder overhead A/B: same campaign, recorder off vs on.
-    let every = args.sample_every.unwrap_or(100);
+    let every = args.run.sample_every.unwrap_or(100);
     let mut sampling_rows = Vec::new();
     println!("## Flight-recorder overhead ({budget} vectors per campaign)\n");
     println!("| Design | off vec/s | on vec/s | ratio | samples |");
@@ -250,5 +255,5 @@ fn main() {
         ("history".into(), Value::Array(history)),
     ]);
     save_json("BENCH_telemetry", &out).expect("write results/BENCH_telemetry.json");
-    flush_trace();
+    args.run.flush();
 }

@@ -6,7 +6,8 @@
 //! revisions stays auditable.
 //!
 //! Usage: `simbench [cycles] [--log-level LEVEL]` (default 20000
-//! cycles).
+//! cycles). It runs no campaign, so the other shared flags of
+//! `symbfuzz_bench::args` are checked but have no effect.
 
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
@@ -80,7 +81,7 @@ fn load_history() -> Vec<Value> {
 }
 
 fn main() {
-    let args = parse_bench_args();
+    let args = parse_bench_args("simbench [cycles]", &[]);
     let cycles: u64 = args.pos(0, 20_000);
     let procs = processor_benchmarks();
     let bugs = bug_benchmarks();

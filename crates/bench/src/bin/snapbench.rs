@@ -4,9 +4,12 @@
 //! under a tight snapshot byte budget. Emits
 //! `results/BENCH_snapshot.json`.
 //!
-//! Usage: `snapbench [vectors] [--smoke] [--snapshot-budget N]
+//! Usage: `snapbench [--smoke] [vectors] [--snapshot-budget N]
 //! [--log-level LEVEL]` (default 20000 campaign vectors; `--smoke`
-//! drops to 2000 and skips the timed microbench loops' warm-up).
+//! drops to 2000 and cuts the timed microbench loops to 200
+//! iterations). The A/B arms pin their own campaign configs, so the
+//! other shared flags of `symbfuzz_bench::args` are checked but have no
+//! effect.
 //!
 //! The campaign A/B forces snapshot-cache misses by shrinking the
 //! store budget (default 64 KiB here, not the 64 MiB campaign
@@ -18,14 +21,13 @@
 use serde::{Serialize, Value};
 use std::sync::Arc;
 use std::time::Instant;
+use symbfuzz_bench::parse_bench_args;
 use symbfuzz_bench::render::save_json;
-use symbfuzz_bench::split_bench_args;
 use symbfuzz_core::{FuzzConfig, Strategy, SymbFuzz};
 use symbfuzz_designs::processor_benchmarks;
 use symbfuzz_logic::LogicVec;
 use symbfuzz_netlist::Design;
 use symbfuzz_sim::{Reentry, Simulator};
-use symbfuzz_telemetry::set_log_level;
 
 /// Fork/enter microbenchmark against the deep-copy baseline.
 #[derive(Debug, Clone, Serialize)]
@@ -178,22 +180,14 @@ fn campaign_arm(
 }
 
 fn main() {
-    let mut smoke = false;
-    let args = split_bench_args(std::env::args().skip(1).filter(|a| {
-        if a == "--smoke" {
-            smoke = true;
-            false
-        } else {
-            true
-        }
-    }));
-    set_log_level(args.log_level);
+    let mut args = parse_bench_args("snapbench [--smoke] [vectors]", &["--smoke"]);
+    let smoke = args.take_flag("--smoke");
     let vectors: u64 = args.pos(0, if smoke { 2_000 } else { 20_000 });
     let iters: u64 = if smoke { 200 } else { 2_000 };
     // Tight enough to force evictions (and therefore rollback misses)
     // on ibex_like, whose full state is only ~400 bytes; the campaign
     // default is 64 MiB.
-    let budget_bytes = args.snapshot_budget.unwrap_or(4 * 1024);
+    let budget_bytes = args.run.snapshot_budget.unwrap_or(4 * 1024);
 
     let ibex = &processor_benchmarks()[0];
     let design = ibex.design().expect("benchmark elaborates");

@@ -6,9 +6,15 @@
 //!
 //! Usage:
 //!
-//! * `solverscope [max_vectors] [solver_budget] [--jobs N]
-//!   [--log-level LEVEL]` — generate `results/solverscope.json` and
-//!   `results/solverscope.html`.
+//! * `solverscope [max_vectors] [solver_budget] [--jobs N] [--log-level
+//!   LEVEL] [--trace-out PATH] [--solver-budget N] [--solve-wall-ms MS]
+//!   [--snapshot-budget BYTES] [--introspect] [--sample-every N
+//!   [--flight-out PATH] [--status-out PATH]] [--incremental]
+//!   [--solver-cache-budget BYTES] [--affinity]` — generate
+//!   `results/solverscope.json` and `results/solverscope.html`
+//!   (defaults 1000, 500). Introspection is always on and the
+//!   positional `solver_budget` overrides `--solver-budget`; the shared
+//!   flags are described in `symbfuzz_bench::args`.
 //! * `solverscope --check FILE...` — validate existing scope-report
 //!   JSON artifacts against the schema; exits non-zero on the first
 //!   violation.
@@ -17,12 +23,12 @@
 //!   exits non-zero on the first violation.
 
 use std::process::ExitCode;
+use symbfuzz_bench::parse_bench_args;
 use symbfuzz_bench::render::save_json;
 use symbfuzz_bench::solverscope::{
     build_scope_report, render_scope_html, render_scope_markdown, validate_bench_artifact,
     validate_scope_report,
 };
-use symbfuzz_bench::{flush_trace, parse_bench_args};
 use symbfuzz_telemetry::info;
 
 fn check_files(paths: &[String]) -> ExitCode {
@@ -92,7 +98,10 @@ fn check_bench_dir(dir: &str) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args = parse_bench_args();
+    let args = parse_bench_args(
+        "solverscope [--check FILE... | --check-bench DIR] [max_vectors] [solver_budget]",
+        &["--check", "--check-bench"],
+    );
     let mut check = false;
     let mut check_bench: Option<String> = None;
     let mut positional = Vec::new();
@@ -122,12 +131,12 @@ fn main() -> ExitCode {
         .get(1)
         .and_then(|a| a.parse().ok())
         .unwrap_or(500);
-    let report = build_scope_report(max_vectors, solver_budget, args.jobs);
+    let report = build_scope_report(max_vectors, solver_budget, &args.run);
     save_json("solverscope", &report).expect("write results/solverscope.json");
     std::fs::write("results/solverscope.html", render_scope_html(&report))
         .expect("write results/solverscope.html");
     println!("{}", render_scope_markdown(&report));
     info!("wrote results/solverscope.json and results/solverscope.html");
-    flush_trace();
+    args.run.flush();
     ExitCode::SUCCESS
 }

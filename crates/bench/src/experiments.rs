@@ -1,21 +1,22 @@
 //! The experiment implementations.
 //!
-//! Every experiment takes a `jobs` argument and fans its independent
-//! campaigns across a scoped-thread pool ([`crate::pool`]). Campaign
-//! seeds are fixed per task and results are merged in item order, so
-//! reports are byte-identical for any `jobs` value — the single
-//! exception is Table 3's `latency_s` wall-clock column.
+//! Every experiment takes the run's [`RunOptions`] and fans its
+//! independent campaigns across `opts.jobs` scoped threads
+//! ([`crate::pool`]). Campaign seeds are fixed per task and results are
+//! merged in item order, so reports are byte-identical for any `jobs`
+//! value — the single exception is Table 3's `latency_s` wall-clock
+//! column. Each campaign config starts from the experiment's own
+//! choices, takes every option given ([`RunOptions::apply`]), then
+//! re-pins the fields the experiment is about.
 
+use crate::args::RunOptions;
 use crate::pool::run_pool;
 use serde::{Deserialize, Serialize};
-use std::fs::File;
-use std::io::{self, BufWriter};
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 use symbfuzz_core::{
-    CampaignResult, CoverageSample, FuzzConfig, FuzzConfigBuilder, PropertySpec, SolverCacheBlock,
-    SolverProfileBlock, SolverScopeBlock, Strategy, SymbFuzz,
+    CampaignResult, CoverageSample, FuzzConfig, PropertySpec, SolverCacheBlock, SolverProfileBlock,
+    SolverScopeBlock, Strategy, SymbFuzz,
 };
 use symbfuzz_designs::{bug_benchmarks, processor_benchmarks, Benchmark};
 use symbfuzz_logic::LogicVec;
@@ -23,293 +24,40 @@ use symbfuzz_netlist::{classify_registers, Design, DesignStats, SignalId};
 use symbfuzz_sim::{Reentry, Simulator};
 use symbfuzz_smt::Budget;
 use symbfuzz_symexec::SymbolicEngine;
-use symbfuzz_telemetry::{Collector, SharedSink, SolveStatus};
-
-/// The process-global trace writer, set once by `--trace-out`. All
-/// pool tasks fan into it through [`SharedSink`] (whole lines under a
-/// lock), attributable via each record's `task` field.
-static TRACE: OnceLock<Arc<Mutex<BufWriter<File>>>> = OnceLock::new();
-
-/// Opens (truncates) the JSONL trace file every subsequent campaign in
-/// this process streams to. First call wins; later calls are no-ops.
-///
-/// # Errors
-///
-/// Propagates file-creation errors.
-pub fn enable_tracing(path: &Path) -> io::Result<()> {
-    let writer = Arc::new(Mutex::new(BufWriter::new(File::create(path)?)));
-    let _ = TRACE.set(writer);
-    Ok(())
-}
-
-/// Whether a `--trace-out` file is active.
-pub fn tracing_enabled() -> bool {
-    TRACE.get().is_some()
-}
-
-/// The process-global solver budget, set once by `--solver-budget` /
-/// `--solve-wall-ms`. `(conflict ceiling, wall-clock ceiling in ms)`.
-static SOLVER_BUDGET: OnceLock<(Option<u64>, Option<u64>)> = OnceLock::new();
-
-/// Caps every symbolic solve of every subsequent campaign in this
-/// process: `conflicts` CDCL conflicts and/or `wall_ms` milliseconds.
-/// Exhausted solves degrade to random mutation instead of blocking the
-/// campaign. First call wins; later calls are no-ops. Wall-clock
-/// ceilings make reports non-deterministic — conflict ceilings do not.
-pub fn set_solver_budget(conflicts: Option<u64>, wall_ms: Option<u64>) {
-    let _ = SOLVER_BUDGET.set((conflicts, wall_ms));
-}
-
-/// The active global solver budget (both `None` when unset).
-pub fn solver_budget() -> (Option<u64>, Option<u64>) {
-    SOLVER_BUDGET.get().copied().unwrap_or((None, None))
-}
-
-/// The process-global snapshot-store byte budget, set once by
-/// `--snapshot-budget`.
-static SNAPSHOT_BUDGET: OnceLock<u64> = OnceLock::new();
-
-/// Bounds the copy-on-write snapshot store of every subsequent
-/// campaign in this process at `bytes` unique page bytes; beyond it
-/// the oldest snapshots are evicted first. First call wins; later
-/// calls are no-ops. Eviction order is a pure function of the campaign
-/// seed, so reports stay byte-identical at any `--jobs`.
-pub fn set_snapshot_budget(bytes: u64) {
-    let _ = SNAPSHOT_BUDGET.set(bytes);
-}
-
-/// The active snapshot budget (`None` when unset — campaigns use the
-/// [`FuzzConfig`] default).
-pub fn snapshot_budget() -> Option<u64> {
-    SNAPSHOT_BUDGET.get().copied()
-}
-
-/// The process-global solver-introspection switch, set once by
-/// `--introspect`.
-static INTROSPECTION: OnceLock<bool> = OnceLock::new();
-
-/// Arms solver introspection for every subsequent campaign in this
-/// process: each symbolic goal then carries CDCL analytics, a
-/// structural sketch, and (for failed goals) a blame set, folded into
-/// the report's `solver_scope` block. First call wins; later calls are
-/// no-ops. Everything recorded is a pure function of the campaign
-/// seed, so introspected reports stay byte-identical at any `--jobs`.
-pub fn set_introspection(on: bool) {
-    let _ = INTROSPECTION.set(on);
-}
-
-/// Whether solver introspection is armed (off when unset).
-pub fn introspection() -> bool {
-    INTROSPECTION.get().copied().unwrap_or(false)
-}
-
-/// The process-global incremental-solving switch, set once by
-/// `--incremental`.
-static INCREMENTAL: OnceLock<bool> = OnceLock::new();
-
-/// Arms incremental solving for every subsequent campaign in this
-/// process: goals sharing an unrolled frame reuse one warm solver via
-/// assumption literals, and transition-relation bitblasts are cached
-/// per frame. First call wins; later calls are no-ops. Session reuse
-/// is a pure function of the campaign seed, so reports stay
-/// byte-identical at any `--jobs`.
-pub fn set_incremental(on: bool) {
-    let _ = INCREMENTAL.set(on);
-}
-
-/// Whether incremental solving is armed (off when unset).
-pub fn incremental() -> bool {
-    INCREMENTAL.get().copied().unwrap_or(false)
-}
-
-/// The process-global affinity-ordering switch, set once by
-/// `--affinity`.
-static AFFINITY: OnceLock<bool> = OnceLock::new();
-
-/// Orders each guidance round's goal batch by KMV-sketch affinity so
-/// structurally similar goals hit a warm solver back to back. Implies
-/// solver introspection (the ordering keys on the sketches it
-/// collects). First call wins; later calls are no-ops.
-pub fn set_affinity(on: bool) {
-    let _ = AFFINITY.set(on);
-}
-
-/// Whether affinity-ordered goal batching is armed (off when unset).
-pub fn affinity() -> bool {
-    AFFINITY.get().copied().unwrap_or(false)
-}
-
-/// The process-global bitblast-cache byte budget, set once by
-/// `--solver-cache-budget`.
-static SOLVER_CACHE_BUDGET: OnceLock<u64> = OnceLock::new();
-
-/// Bounds the warm-session bitblast cache of every subsequent
-/// campaign at `bytes` estimated clause bytes; beyond it the
-/// least-recently-used sessions are evicted. First call wins; later
-/// calls are no-ops. Eviction order is a pure function of the
-/// campaign seed, so reports stay byte-identical at any `--jobs`.
-pub fn set_solver_cache_budget(bytes: u64) {
-    let _ = SOLVER_CACHE_BUDGET.set(bytes);
-}
-
-/// The active bitblast-cache budget (`None` when unset — campaigns
-/// use the [`FuzzConfig`] default).
-pub fn solver_cache_budget() -> Option<u64> {
-    SOLVER_CACHE_BUDGET.get().copied()
-}
-
-/// Applies the incremental/affinity/cache-budget globals to
-/// a campaign builder — the shared tail of every experiment's config.
-/// `--affinity` forces introspection on, which the builder requires.
-fn apply_solver_knobs(mut b: FuzzConfigBuilder) -> FuzzConfigBuilder {
-    if incremental() {
-        b = b.incremental_solving(true);
-    }
-    if let Some(bytes) = solver_cache_budget() {
-        b = b.solver_cache_budget(bytes);
-    }
-    if affinity() {
-        b = b.affinity_ordering(true).solver_introspection(true);
-    }
-    b
-}
-
-/// The process-global flight-recorder interval, set once by
-/// `--sample-every`.
-static SAMPLING: OnceLock<u64> = OnceLock::new();
-
-/// Arms the flight recorder for every subsequent campaign in this
-/// process: one delta-compressed sample every `every` input vectors
-/// (floored at 1), plus the per-cone VM profiler and the per-goal
-/// solver profiler. First call wins; later calls are no-ops. Sample
-/// streams are keyed to the deterministic vector-count clock, so
-/// recordings are byte-identical at any `--jobs`.
-pub fn set_sampling(every: u64) {
-    let _ = SAMPLING.set(every.max(1));
-}
-
-/// The active flight-recorder interval (`None` when sampling is off).
-pub fn sampling() -> Option<u64> {
-    SAMPLING.get().copied()
-}
-
-/// The live flight/status destinations, set once by `--flight-out` /
-/// `--status-out`. Only pool task 0 streams here mid-run (one writer
-/// per file); the bench bins overwrite both with the canonical merged
-/// artifacts after the pool drains.
-static FLIGHT_OUT: OnceLock<PathBuf> = OnceLock::new();
-static STATUS_OUT: OnceLock<PathBuf> = OnceLock::new();
-
-/// Installs the live flight-stream and status-heartbeat paths. First
-/// call wins; later calls are no-ops. No-op arguments leave the
-/// corresponding output unset.
-pub fn set_flight_outputs(flight: Option<&Path>, status: Option<&Path>) {
-    if let Some(p) = flight {
-        let _ = FLIGHT_OUT.set(p.to_path_buf());
-    }
-    if let Some(p) = status {
-        let _ = STATUS_OUT.set(p.to_path_buf());
-    }
-}
-
-/// The live flight-stream path, if configured.
-pub fn flight_out() -> Option<&'static Path> {
-    FLIGHT_OUT.get().map(PathBuf::as_path)
-}
-
-/// The live status-heartbeat path, if configured.
-pub fn status_out() -> Option<&'static Path> {
-    STATUS_OUT.get().map(PathBuf::as_path)
-}
+use symbfuzz_telemetry::SolveStatus;
 
 /// The shared campaign configuration: the experiments' historical
-/// interval/threshold choices plus whatever global solver budget
-/// [`set_solver_budget`] installed, validated by the builder.
-fn campaign_config(budget: u64, seed: u64) -> FuzzConfig {
-    let (conflicts, wall_ms) = solver_budget();
-    let mut b = FuzzConfig::builder()
+/// interval/threshold choices plus the run options, validated by the
+/// builder.
+fn campaign_config(budget: u64, seed: u64, opts: &RunOptions) -> FuzzConfig {
+    let b = FuzzConfig::builder()
         .interval(100)
         .threshold(2)
         .max_vectors(budget)
         .seed(seed);
-    if let Some(c) = conflicts {
-        b = b.solver_budget(c);
-    }
-    if let Some(ms) = wall_ms {
-        b = b.solve_wall_ms(ms);
-    }
-    if let Some(every) = sampling() {
-        b = b.sample_every(every);
-    }
-    if let Some(bytes) = snapshot_budget() {
-        b = b.snapshot_mem_budget(bytes);
-    }
-    if introspection() {
-        b = b.solver_introspection(true);
-    }
-    b = apply_solver_knobs(b);
-    b.build().expect("bench campaign config is consistent")
+    opts.apply(b)
+        .build()
+        .expect("bench campaign config is consistent")
 }
 
-/// Flushes the shared trace file (no-op when tracing is off).
-pub fn flush_trace() {
-    if let Some(w) = TRACE.get() {
-        if let Ok(mut w) = w.lock() {
-            use std::io::Write as _;
-            let _ = w.flush();
-        }
-    }
-}
-
-/// When tracing is on, swaps the fuzzer's deterministic collector for
-/// a wall-clock one streaming into the shared trace file, labelled
-/// with the pool `task` index. When tracing is off this is a no-op, so
-/// campaign reports keep the deterministic vector-count clock.
-pub fn attach_telemetry(fuzzer: &mut SymbFuzz, task: usize) {
-    if let Some(writer) = TRACE.get() {
-        let collector = Arc::new(Collector::monotonic());
-        collector.set_task(task as u64);
-        collector.set_sink(Box::new(SharedSink::new(Arc::clone(writer))));
-        fuzzer.install_telemetry(collector);
-    }
-}
-
-/// When this is pool task 0 and `--flight-out` / `--status-out` were
-/// given, streams the campaign's live flight samples and status
-/// heartbeat to those paths. Other tasks keep their samples in memory
-/// only (they ride back in the campaign report and are merged by
-/// interval index after the pool), so each live file has exactly one
-/// writer. No-op when the recorder is off.
-pub fn attach_flight_outputs(fuzzer: &mut SymbFuzz, task: usize) {
-    if task != 0 {
-        return;
-    }
-    if let Err(e) = fuzzer.set_flight_outputs(flight_out(), status_out()) {
-        symbfuzz_telemetry::warn!("cannot open flight outputs: {e}");
-    }
-}
-
-/// Builds and runs one campaign (`task` is the pool index, used only
-/// to label trace records).
+/// Builds one campaign from `config`, wires it to the run's outputs
+/// as pool task `task`, and runs it. Afterwards it streams one summary
+/// record with the settle-engine mix and witness misses so `tracedump`
+/// can report the fast-path hit rate and the witness oracle (no-op
+/// when the collector has no sink, i.e. tracing is off), plus the
+/// solver cache summary when incremental solving is armed.
 fn run(
     design: Arc<Design>,
     strategy: Strategy,
     props: &[PropertySpec],
-    budget: u64,
-    seed: u64,
+    config: FuzzConfig,
     task: usize,
+    opts: &RunOptions,
 ) -> CampaignResult {
-    let config = campaign_config(budget, seed);
     let mut fuzzer =
         SymbFuzz::new(design, strategy, config, props).expect("properties must compile");
-    attach_telemetry(&mut fuzzer, task);
-    attach_flight_outputs(&mut fuzzer, task);
+    opts.attach(&mut fuzzer, task);
     let result = fuzzer.run();
-    // One summary record per campaign with the settle-engine mix and
-    // witness misses so `tracedump` can report the fast-path hit rate
-    // and the witness oracle (no-op when the collector has no sink,
-    // i.e. tracing is off), plus the solver cache summary when
-    // incremental solving is armed.
     fuzzer.telemetry().emit_settle_metrics();
     fuzzer.emit_solver_metrics();
     fuzzer.telemetry().flush();
@@ -336,16 +84,15 @@ pub struct Table1Row {
 }
 
 /// Table 1: run SymbFuzz on each buggy IP until its property fires.
-/// Benchmarks run concurrently on up to `jobs` threads.
-pub fn table1_rows(budget: u64, jobs: usize) -> Vec<Table1Row> {
+/// Benchmarks run concurrently on up to `opts.jobs` threads.
+pub fn table1_rows(budget: u64, opts: &RunOptions) -> Vec<Table1Row> {
     let benches = bug_benchmarks();
-    run_pool(&benches, jobs, |task, b| {
+    run_pool(&benches, opts.jobs, |task, b| {
         let design = b.design().expect("benchmark elaborates");
-        let config = campaign_config(budget, 0x5EED + b.id as u64);
+        let config = campaign_config(budget, 0x5EED + b.id as u64, opts);
         let mut fuzzer = SymbFuzz::new(design, Strategy::SymbFuzz, config, &[b.property_spec()])
             .expect("property compiles");
-        attach_telemetry(&mut fuzzer, task);
-        attach_flight_outputs(&mut fuzzer, task);
+        opts.attach(&mut fuzzer, task);
         let measured = fuzzer.run_until_bug(b.name);
         fuzzer.telemetry().flush();
         Table1Row {
@@ -411,7 +158,7 @@ impl DetectionMatrix {
 /// small `nbugs` still saturates `jobs` workers; seeds depend only on
 /// the bug id and repeat index, so the matrix is identical at any
 /// parallelism.
-pub fn detection_matrix(nbugs: usize, budget: u64, jobs: usize) -> DetectionMatrix {
+pub fn detection_matrix(nbugs: usize, budget: u64, opts: &RunOptions) -> DetectionMatrix {
     const FUZZERS: [Strategy; 4] = [
         Strategy::SymbFuzz,
         Strategy::RFuzz,
@@ -427,19 +174,12 @@ pub fn detection_matrix(nbugs: usize, budget: u64, jobs: usize) -> DetectionMatr
     let tasks: Vec<(usize, Strategy)> = (0..prep.len())
         .flat_map(|i| FUZZERS.iter().map(move |&s| (i, s)))
         .collect();
-    let hits = run_pool(&tasks, jobs, |task, &(i, s)| {
+    let hits = run_pool(&tasks, opts.jobs, |task, &(i, s)| {
         let (b, design) = &prep[i];
         let spec = [b.property_spec()];
         (0..4).any(|r| {
-            run(
-                Arc::clone(design),
-                s,
-                &spec,
-                budget,
-                0xD1CE + b.id as u64 + r * 7919,
-                task,
-            )
-            .detected(b.name)
+            let config = campaign_config(budget, 0xD1CE + b.id as u64 + r * 7919, opts);
+            run(Arc::clone(design), s, &spec, config, task, opts).detected(b.name)
         })
     });
     let rows = prep
@@ -491,12 +231,14 @@ pub struct Table3Row {
 /// benchmark, fanned across `jobs` workers. `latency_s` is wall-clock
 /// and therefore the one report column that varies with `jobs` (and
 /// between runs); every other column is deterministic.
-pub fn table3_rows(budget: u64, jobs: usize) -> Vec<Table3Row> {
+pub fn table3_rows(budget: u64, opts: &RunOptions) -> Vec<Table3Row> {
     let benches = processor_benchmarks();
-    run_pool(&benches, jobs, |task, b| table3_row(b, budget, task))
+    run_pool(&benches, opts.jobs, |task, b| {
+        table3_row(b, budget, task, opts)
+    })
 }
 
-fn table3_row(b: &Benchmark, budget: u64, task: usize) -> Table3Row {
+fn table3_row(b: &Benchmark, budget: u64, task: usize, opts: &RunOptions) -> Table3Row {
     let start = Instant::now();
     let design = b.design().expect("benchmark elaborates");
     let stats = DesignStats::of(&design);
@@ -506,9 +248,9 @@ fn table3_row(b: &Benchmark, budget: u64, task: usize) -> Table3Row {
         Arc::clone(&design),
         Strategy::SymbFuzz,
         &b.property_specs(),
-        budget,
-        0xB3,
+        campaign_config(budget, 0xB3, opts),
         task,
+        opts,
     );
     Table3Row {
         name: b.name.to_string(),
@@ -549,20 +291,14 @@ impl RaceResult {
 /// one pool task per strategy. `bench_index` selects from
 /// [`processor_benchmarks`]; seeds vary per strategy to avoid
 /// accidental correlation.
-pub fn coverage_race(bench_index: usize, budget: u64, seed: u64, jobs: usize) -> RaceResult {
+pub fn coverage_race(bench_index: usize, budget: u64, seed: u64, opts: &RunOptions) -> RaceResult {
     let b = &processor_benchmarks()[bench_index];
     let design = b.design().expect("benchmark elaborates");
     let props = b.property_specs();
     let strategies = Strategy::all();
-    let curves = run_pool(&strategies, jobs, |task, s| {
-        let r = run(
-            Arc::clone(&design),
-            *s,
-            &props,
-            budget,
-            seed ^ s.name().len() as u64,
-            task,
-        );
+    let curves = run_pool(&strategies, opts.jobs, |task, s| {
+        let config = campaign_config(budget, seed ^ s.name().len() as u64, opts);
+        let r = run(Arc::clone(&design), *s, &props, config, task, opts);
         (s.name().to_string(), r.series)
     });
     RaceResult {
@@ -594,7 +330,7 @@ pub fn variance_profile(
     bench_index: usize,
     budget: u64,
     runs: u64,
-    jobs: usize,
+    opts: &RunOptions,
 ) -> Vec<VariancePoint> {
     let b = &processor_benchmarks()[bench_index];
     let design = b.design().expect("benchmark elaborates");
@@ -605,16 +341,9 @@ pub fn variance_profile(
         .iter()
         .flat_map(|&s| (0..runs).map(move |r| (s, r)))
         .collect();
-    let series: Vec<Vec<CoverageSample>> = run_pool(&tasks, jobs, |task, &(s, r)| {
-        run(
-            Arc::clone(&design),
-            s,
-            &props,
-            budget,
-            0xF00 + r * 7919,
-            task,
-        )
-        .series
+    let series: Vec<Vec<CoverageSample>> = run_pool(&tasks, opts.jobs, |task, &(s, r)| {
+        let config = campaign_config(budget, 0xF00 + r * 7919, opts);
+        run(Arc::clone(&design), s, &props, config, task, opts).series
     });
     let mut out = Vec::new();
     for (si, s) in Strategy::all().iter().enumerate() {
@@ -656,16 +385,14 @@ pub struct SpeedupResult {
 
 /// Computes the §5.3 convergence comparison, one pool task per
 /// strategy.
-pub fn speedup(bench_index: usize, budget: u64, jobs: usize) -> SpeedupResult {
+pub fn speedup(bench_index: usize, budget: u64, opts: &RunOptions) -> SpeedupResult {
     let b = &processor_benchmarks()[bench_index];
     let design = b.design().expect("benchmark elaborates");
     let props = b.property_specs();
     let strategies = Strategy::all();
-    let results: Vec<(Strategy, CampaignResult)> = run_pool(&strategies, jobs, |task, s| {
-        (
-            *s,
-            run(Arc::clone(&design), *s, &props, budget, 0xACE, task),
-        )
+    let results: Vec<(Strategy, CampaignResult)> = run_pool(&strategies, opts.jobs, |task, s| {
+        let config = campaign_config(budget, 0xACE, opts);
+        (*s, run(Arc::clone(&design), *s, &props, config, task, opts))
     });
     let random = results
         .iter()
@@ -756,39 +483,36 @@ fn profile_duvs() -> [(&'static str, Arc<Design>, Vec<PropertySpec>); 3] {
 /// unrolled frame — the design the incremental-solver knobs are
 /// measured on. Seeds are fixed per campaign, so rows are
 /// byte-identical at any `jobs` value.
-pub fn budget_profile(budgets: &[u64], max_vectors: u64, jobs: usize) -> Vec<BudgetProfileRow> {
+pub fn budget_profile(
+    budgets: &[u64],
+    max_vectors: u64,
+    opts: &RunOptions,
+) -> Vec<BudgetProfileRow> {
     let duvs = profile_duvs();
     let tasks: Vec<(usize, u64)> = (0..duvs.len())
         .flat_map(|i| budgets.iter().map(move |&b| (i, b)))
         .collect();
-    run_pool(&tasks, jobs, |task, &(i, ceiling)| {
+    run_pool(&tasks, opts.jobs, |task, &(i, ceiling)| {
         let (name, design, props) = &duvs[i];
-        let mut b = FuzzConfig::builder()
+        let b = FuzzConfig::builder()
             .interval(100)
             .threshold(1)
             .max_vectors(max_vectors)
             .seed(0xB0D6E7)
-            .solver_budget(ceiling)
             .escalation_cap(1);
-        if let Some(every) = sampling() {
-            b = b.sample_every(every);
-        }
-        if let Some(bytes) = snapshot_budget() {
-            b = b.snapshot_mem_budget(bytes);
-        }
-        if introspection() {
-            b = b.solver_introspection(true);
-        }
-        b = apply_solver_knobs(b);
-        let config = b.build().expect("budget profile config is consistent");
-        let mut fuzzer = SymbFuzz::new(Arc::clone(design), Strategy::SymbFuzz, config, props)
-            .expect("property compiles");
-        attach_telemetry(&mut fuzzer, task);
-        attach_flight_outputs(&mut fuzzer, task);
-        let r = fuzzer.run();
-        fuzzer.telemetry().emit_settle_metrics();
-        fuzzer.emit_solver_metrics();
-        fuzzer.telemetry().flush();
+        let config = opts
+            .apply(b)
+            .solver_budget(ceiling)
+            .build()
+            .expect("budget profile config is consistent");
+        let r = run(
+            Arc::clone(design),
+            Strategy::SymbFuzz,
+            props,
+            config,
+            task,
+            opts,
+        );
         let counter = |name: &str| {
             r.telemetry
                 .counters
@@ -855,33 +579,35 @@ pub struct ScopeProfileResult {
 pub fn solverscope_profile(
     max_vectors: u64,
     solver_budget_ceiling: u64,
-    jobs: usize,
+    opts: &RunOptions,
 ) -> Vec<ScopeProfileResult> {
     const RUNS_PER_DESIGN: usize = 2;
     let duvs = profile_duvs();
     let tasks: Vec<(usize, u64)> = (0..duvs.len())
         .flat_map(|i| (0..RUNS_PER_DESIGN as u64).map(move |r| (i, r)))
         .collect();
-    let results = run_pool(&tasks, jobs, |task, &(i, r)| {
+    let results = run_pool(&tasks, opts.jobs, |task, &(i, r)| {
         let (_, design, props) = &duvs[i];
-        let mut b = FuzzConfig::builder()
+        let b = FuzzConfig::builder()
             .interval(100)
             .threshold(1)
             .max_vectors(max_vectors)
             .seed(0xB0D6E7 + r * 7919)
+            .escalation_cap(1);
+        let config = opts
+            .apply(b)
             .solver_budget(solver_budget_ceiling)
-            .escalation_cap(1)
-            .solver_introspection(true);
-        b = apply_solver_knobs(b);
-        let config = b.build().expect("scope profile config is consistent");
-        let mut fuzzer = SymbFuzz::new(Arc::clone(design), Strategy::SymbFuzz, config, props)
-            .expect("property compiles");
-        attach_telemetry(&mut fuzzer, task);
-        let result = fuzzer.run();
-        fuzzer.telemetry().emit_settle_metrics();
-        fuzzer.emit_solver_metrics();
-        fuzzer.telemetry().flush();
-        result
+            .solver_introspection(true)
+            .build()
+            .expect("scope profile config is consistent");
+        run(
+            Arc::clone(design),
+            Strategy::SymbFuzz,
+            props,
+            config,
+            task,
+            opts,
+        )
     });
     duvs.iter()
         .enumerate()
@@ -979,6 +705,7 @@ fn sweep_solver_ab(
     design: &Arc<Design>,
     stimulus_cycles: u64,
     ceiling: u64,
+    cache_budget: u64,
 ) -> SolverCacheResult {
     /// Depth ceiling of every query's geometric unroll schedule.
     const SWEEP_DEPTH: u32 = 4;
@@ -1037,7 +764,7 @@ fn sweep_solver_ab(
     let budget = Budget::unlimited().with_conflicts(ceiling);
     let cold = SymbolicEngine::new(Arc::clone(design));
     let mut warm = SymbolicEngine::new(Arc::clone(design));
-    warm.set_solver_cache(Some(solver_cache_budget().unwrap_or(16 << 20)));
+    warm.set_solver_cache(Some(cache_budget));
 
     let mut tallies: Vec<(u64, u64, u64, u64)> = vec![(0, 0, 0, 0); goals.len()];
     for state in &states {
@@ -1141,14 +868,21 @@ fn sweep_solver_ab(
 pub fn solvercache_profile(
     max_vectors: u64,
     solver_budget_ceiling: u64,
-    jobs: usize,
+    opts: &RunOptions,
 ) -> Vec<SolverCacheResult> {
     let duvs = profile_duvs();
     // duvs[2] = goalfabric, duvs[1] = ibex_like.
     let picks = [2usize, 1];
-    run_pool(&picks, jobs, |_task, &i| {
+    let cache_budget = opts.solver_cache_budget.unwrap_or(16 << 20);
+    run_pool(&picks, opts.jobs, |_task, &i| {
         let (name, design, _) = &duvs[i];
-        sweep_solver_ab(name, design, max_vectors, solver_budget_ceiling)
+        sweep_solver_ab(
+            name,
+            design,
+            max_vectors,
+            solver_budget_ceiling,
+            cache_budget,
+        )
     })
 }
 
@@ -1157,14 +891,15 @@ pub fn solvercache_profile(
 pub fn resource_profile(
     bench_index: usize,
     budget: u64,
-    jobs: usize,
+    opts: &RunOptions,
 ) -> Vec<(String, CampaignResult)> {
     let b = &processor_benchmarks()[bench_index];
     let design = b.design().expect("benchmark elaborates");
     let props = b.property_specs();
     let strategies = Strategy::all();
-    run_pool(&strategies, jobs, |task, s| {
-        let r = run(Arc::clone(&design), *s, &props, budget, 0xCAB, task);
+    run_pool(&strategies, opts.jobs, |task, s| {
+        let config = campaign_config(budget, 0xCAB, opts);
+        let r = run(Arc::clone(&design), *s, &props, config, task, opts);
         (s.name().to_string(), r)
     })
 }
@@ -1177,7 +912,7 @@ mod tests {
     fn table1_smoke_detects_shallow_bugs() {
         // Bugs 7 and 10 are one-to-two-cycle triggers; a small budget
         // suffices and keeps the test fast.
-        let rows = table1_rows(3_000, 4);
+        let rows = table1_rows(3_000, &RunOptions::with_jobs(4));
         assert_eq!(rows.len(), 14);
         let by_id = |id: u32| rows.iter().find(|r| r.id == id).unwrap();
         assert!(by_id(7).measured_vectors.is_some(), "bug 7 undetected");
@@ -1186,7 +921,7 @@ mod tests {
 
     #[test]
     fn detection_matrix_symbfuzz_dominates() {
-        let m = detection_matrix(3, 4_000, 4);
+        let m = detection_matrix(3, 4_000, &RunOptions::with_jobs(4));
         for r in &m.rows {
             assert!(r.symbfuzz, "SymbFuzz missed bug {}", r.id);
             // Baselines never beat their paper visibility gates.
@@ -1198,7 +933,7 @@ mod tests {
 
     #[test]
     fn table3_reports_structure() {
-        let rows = table3_rows(1_500, 2);
+        let rows = table3_rows(1_500, &RunOptions::with_jobs(2));
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert!(r.loc > 20, "{} too small", r.name);
@@ -1210,7 +945,7 @@ mod tests {
 
     #[test]
     fn coverage_race_orders_symbfuzz_first() {
-        let race = coverage_race(0, 6_000, 42, 4);
+        let race = coverage_race(0, 6_000, 42, &RunOptions::with_jobs(4));
         let sf = race.final_coverage("SymbFuzz").unwrap();
         let rnd = race.final_coverage("UVM-random").unwrap();
         assert!(sf >= rnd, "SymbFuzz {sf} < random {rnd}");
@@ -1219,7 +954,7 @@ mod tests {
 
     #[test]
     fn variance_profile_produces_window_points() {
-        let pts = variance_profile(1, 2_000, 3, 4);
+        let pts = variance_profile(1, 2_000, 3, &RunOptions::with_jobs(4));
         assert!(!pts.is_empty());
         for p in &pts {
             assert!(p.vectors >= 800 && p.vectors <= 1_700);
@@ -1231,16 +966,23 @@ mod tests {
     /// byte-identical whether campaigns run on 1 thread or 8.
     #[test]
     fn reports_are_byte_identical_across_job_counts() {
-        let serial = serde_json::to_string(&detection_matrix(2, 2_000, 1)).unwrap();
-        let wide = serde_json::to_string(&detection_matrix(2, 2_000, 8)).unwrap();
+        let serial =
+            serde_json::to_string(&detection_matrix(2, 2_000, &RunOptions::with_jobs(1))).unwrap();
+        let wide =
+            serde_json::to_string(&detection_matrix(2, 2_000, &RunOptions::with_jobs(8))).unwrap();
         assert_eq!(serial, wide);
 
-        let serial = serde_json::to_string(&coverage_race(1, 2_000, 7, 1)).unwrap();
-        let wide = serde_json::to_string(&coverage_race(1, 2_000, 7, 8)).unwrap();
+        let serial =
+            serde_json::to_string(&coverage_race(1, 2_000, 7, &RunOptions::with_jobs(1))).unwrap();
+        let wide =
+            serde_json::to_string(&coverage_race(1, 2_000, 7, &RunOptions::with_jobs(8))).unwrap();
         assert_eq!(serial, wide);
 
-        let serial = serde_json::to_string(&variance_profile(1, 1_500, 2, 1)).unwrap();
-        let wide = serde_json::to_string(&variance_profile(1, 1_500, 2, 8)).unwrap();
+        let serial =
+            serde_json::to_string(&variance_profile(1, 1_500, 2, &RunOptions::with_jobs(1)))
+                .unwrap();
+        let wide = serde_json::to_string(&variance_profile(1, 1_500, 2, &RunOptions::with_jobs(8)))
+            .unwrap();
         assert_eq!(serial, wide);
     }
 
@@ -1250,8 +992,12 @@ mod tests {
     /// vector budget, and renders byte-identically at any `--jobs`.
     #[test]
     fn budget_profile_degrades_and_is_deterministic_across_jobs() {
-        let serial = serde_json::to_string(&budget_profile(&[10_000], 400, 1)).unwrap();
-        let wide = serde_json::to_string(&budget_profile(&[10_000], 400, 4)).unwrap();
+        let serial =
+            serde_json::to_string(&budget_profile(&[10_000], 400, &RunOptions::with_jobs(1)))
+                .unwrap();
+        let wide =
+            serde_json::to_string(&budget_profile(&[10_000], 400, &RunOptions::with_jobs(4)))
+                .unwrap();
         assert_eq!(serial, wide);
         let rows: Vec<BudgetProfileRow> = serde_json::from_str(&serial).unwrap();
         assert_eq!(rows.len(), 3);
@@ -1277,8 +1023,11 @@ mod tests {
     /// and `--jobs 4`.
     #[test]
     fn solverscope_attributes_exhaustion_and_is_deterministic_across_jobs() {
-        let serial = serde_json::to_string(&solverscope_profile(400, 500, 1)).unwrap();
-        let wide = serde_json::to_string(&solverscope_profile(400, 500, 4)).unwrap();
+        let serial =
+            serde_json::to_string(&solverscope_profile(400, 500, &RunOptions::with_jobs(1)))
+                .unwrap();
+        let wide = serde_json::to_string(&solverscope_profile(400, 500, &RunOptions::with_jobs(4)))
+            .unwrap();
         assert_eq!(serial, wide);
         let rows: Vec<ScopeProfileResult> = serde_json::from_str(&serial).unwrap();
         assert_eq!(rows.len(), 3);
@@ -1319,8 +1068,12 @@ mod tests {
     /// byte-identical at any `--jobs`.
     #[test]
     fn solvercache_profile_joins_goals_and_is_deterministic_across_jobs() {
-        let serial = serde_json::to_string(&solvercache_profile(400, 20_000, 1)).unwrap();
-        let wide = serde_json::to_string(&solvercache_profile(400, 20_000, 4)).unwrap();
+        let serial =
+            serde_json::to_string(&solvercache_profile(400, 20_000, &RunOptions::with_jobs(1)))
+                .unwrap();
+        let wide =
+            serde_json::to_string(&solvercache_profile(400, 20_000, &RunOptions::with_jobs(4)))
+                .unwrap();
         assert_eq!(serial, wide);
         let rows: Vec<SolverCacheResult> = serde_json::from_str(&serial).unwrap();
         assert_eq!(rows.len(), 2);
@@ -1342,9 +1095,33 @@ mod tests {
         }
     }
 
+    /// Options are a value, not process state: a snapshot-budgeted run
+    /// leaves the default runs around it in the same process untouched.
+    #[test]
+    fn run_options_do_not_leak_between_runs() {
+        let json = |r: &[(String, CampaignResult)]| serde_json::to_string(r).unwrap();
+        let before = resource_profile(0, 1_500, &RunOptions::with_jobs(2));
+        assert!(before
+            .iter()
+            .all(|(_, r)| r.resources.snapshot_evictions == 0));
+        let tight = RunOptions {
+            snapshot_budget: Some(4096),
+            ..RunOptions::with_jobs(2)
+        };
+        let budgeted = resource_profile(0, 1_500, &tight);
+        assert!(
+            budgeted
+                .iter()
+                .any(|(_, r)| r.resources.snapshot_evictions > 0),
+            "a 4 KiB snapshot store must evict"
+        );
+        let after = resource_profile(0, 1_500, &RunOptions::with_jobs(2));
+        assert_eq!(json(&after), json(&before));
+    }
+
     #[test]
     fn speedup_has_random_baseline_of_one() {
-        let s = speedup(3, 4_000, 4);
+        let s = speedup(3, 4_000, &RunOptions::with_jobs(4));
         let rnd = s.rows.iter().find(|(n, _, _)| n == "UVM-random").unwrap();
         assert!((rnd.2.unwrap() - 1.0).abs() < 1e-9);
         let sf = s.rows.iter().find(|(n, _, _)| n == "SymbFuzz").unwrap();

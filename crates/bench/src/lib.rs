@@ -22,27 +22,27 @@
 //! | `monitor` | live dashboard / `--check` / Prometheus export over `status.json` + `flight.jsonl` |
 //! | `solverscope` | solver introspection: CDCL cost ranking, exhaustion blame sets, goal-affinity heatmap |
 //!
-//! Every binary accepts a `--jobs N` (or `-j N`) flag that fans
-//! independent campaigns across a scoped-thread pool; reports are
-//! byte-identical for any job count (Table 3's wall-clock `latency_s`
-//! excepted), so parallelism is purely a wall-clock optimisation.
-//! They also accept `--log-level LEVEL` (stderr verbosity),
-//! `--trace-out PATH` (stream a wall-clock JSONL campaign trace, see
-//! [`trace`]), `--solver-budget N` (per-solve conflict ceiling with
-//! graceful degradation to random mutation), `--solve-wall-ms N`
-//! (per-solve wall-clock ceiling; non-deterministic), the flight
-//! recorder's `--sample-every N` / `--flight-out PATH` /
-//! `--status-out PATH` (see [`monitor`]), and the incremental-solver
-//! knobs `--incremental` / `--solver-cache-budget BYTES` /
-//! `--affinity`; all are handled by
-//! [`args::parse_bench_args`].
+//! Every campaign binary reads its command line once with
+//! [`args::parse_bench_args`] into one [`RunOptions`] value that each
+//! experiment takes by reference: the `--jobs N` (or `-j N`) worker
+//! count for the scoped-thread pool, the `--trace-out PATH` wall-clock
+//! JSONL trace (see [`trace`]), and the campaign options
+//! `--solver-budget N`, `--solve-wall-ms N` (non-deterministic),
+//! `--snapshot-budget BYTES`, `--introspect`, the flight recorder's
+//! `--sample-every N` / `--flight-out PATH` / `--status-out PATH` (see
+//! [`monitor`]), and the incremental-solver knobs `--incremental` /
+//! `--solver-cache-budget BYTES` / `--affinity`; `--log-level LEVEL`
+//! sets stderr verbosity. Reports are byte-identical for any job count
+//! (Table 3's wall-clock `latency_s` excepted), so parallelism is
+//! purely a wall-clock optimisation. An unknown flag or a malformed
+//! value exits with status 2 and the usage line.
 //!
 //! # Examples
 //!
 //! ```
-//! use symbfuzz_bench::experiments;
+//! use symbfuzz_bench::{experiments, RunOptions};
 //! // A miniature Table 2 on the first two bugs only (fast), 2 workers.
-//! let m = experiments::detection_matrix(2, 4_000, 2);
+//! let m = experiments::detection_matrix(2, 4_000, &RunOptions::with_jobs(2));
 //! assert_eq!(m.rows.len(), 2);
 //! assert!(m.rows.iter().all(|r| r.symbfuzz));
 //! ```
@@ -56,27 +56,23 @@ pub mod render;
 pub mod solverscope;
 pub mod trace;
 
-pub use args::{parse_bench_args, split_bench_args, BenchArgs};
+pub use args::{parse_bench_args, split_bench_args, BenchArgs, RunOptions};
 pub use covreport::{
     build_report, render_html, render_markdown, trace_mechanism_counts, validate_covmap,
     validate_report, BugReport, ChainLink, CovReport, MechanismCount, StrategyReport,
     COVREPORT_VERSION,
 };
 pub use experiments::{
-    affinity, budget_profile, coverage_race, detection_matrix, enable_tracing, flush_trace,
-    incremental, introspection, sampling, set_affinity, set_incremental, set_introspection,
-    set_sampling, set_solver_budget, set_solver_cache_budget, solver_cache_budget,
-    solvercache_profile, solverscope_profile, table1_rows, table3_rows, tracing_enabled,
-    variance_profile, BudgetProfileRow, DetectionRow, RaceResult, ScopeProfileResult,
-    SolverCacheResult, SolverCacheRow, Table1Row, Table3Row, VariancePoint,
+    budget_profile, coverage_race, detection_matrix, solvercache_profile, solverscope_profile,
+    table1_rows, table3_rows, variance_profile, BudgetProfileRow, DetectionRow, RaceResult,
+    ScopeProfileResult, SolverCacheResult, SolverCacheRow, Table1Row, Table3Row, VariancePoint,
 };
 pub use monitor::{
     check_flight, check_status, parse_prometheus, render_dashboard, render_prometheus,
 };
 pub use pool::{
     default_jobs, merge_covmap_counts, merge_flight_rows, merge_solver_caches,
-    merge_solver_profiles, merge_solver_scopes, merge_telemetry, merge_vm_profiles, parse_jobs,
-    run_pool,
+    merge_solver_profiles, merge_solver_scopes, merge_telemetry, merge_vm_profiles, run_pool,
 };
 pub use solverscope::{
     build_scope_report, conflict_quantiles, render_scope_html, render_scope_markdown,

@@ -61,38 +61,6 @@ where
     pairs.into_iter().map(|(_, t)| t).collect()
 }
 
-/// Splits `--jobs N` / `--jobs=N` / `-j N` / `-jN` out of an argument
-/// list, returning the remaining positional arguments and the job
-/// count (defaulting to [`default_jobs`], floored at 1).
-pub fn split_jobs<A: Iterator<Item = String>>(args: A) -> (Vec<String>, usize) {
-    let mut jobs = default_jobs();
-    let mut rest = Vec::new();
-    let mut args = args.peekable();
-    while let Some(a) = args.next() {
-        if a == "--jobs" || a == "-j" {
-            if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                jobs = v;
-            }
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            if let Ok(v) = v.parse() {
-                jobs = v;
-            }
-        } else if let Some(v) = a.strip_prefix("-j") {
-            if let Ok(v) = v.parse() {
-                jobs = v;
-            }
-        } else {
-            rest.push(a);
-        }
-    }
-    (rest, jobs.max(1))
-}
-
-/// [`split_jobs`] over the process arguments (program name skipped).
-pub fn parse_jobs() -> (Vec<String>, usize) {
-    split_jobs(std::env::args().skip(1))
-}
-
 /// Merges per-task telemetry blocks into one campaign-wide block,
 /// folding in task-index order. Counters, event counts and phase
 /// statistics sum; gauges keep the high-water mark. Because every
@@ -632,21 +600,5 @@ mod tests {
         let again = merge_solver_scopes([Some(&a), Some(&b), None]).unwrap();
         assert_eq!(again, merged);
         assert!(merge_solver_scopes([None, None]).is_none());
-    }
-
-    #[test]
-    fn split_jobs_accepts_all_spellings() {
-        let split = |s: &str| split_jobs(s.split_whitespace().map(String::from));
-        assert_eq!(split("5000 --jobs 4"), (vec!["5000".into()], 4));
-        assert_eq!(
-            split("--jobs=2 5000 1"),
-            (vec!["5000".into(), "1".into()], 2)
-        );
-        assert_eq!(split("-j 8"), (Vec::<String>::new(), 8));
-        assert_eq!(split("-j3 42"), (vec!["42".into()], 3));
-        assert_eq!(split("--jobs 0").1, 1);
-        let (rest, jobs) = split("1000 2000");
-        assert_eq!(rest, vec!["1000".to_string(), "2000".to_string()]);
-        assert!(jobs >= 1);
     }
 }

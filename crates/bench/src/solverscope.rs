@@ -13,6 +13,7 @@
 //! deterministic campaign state, so the JSON and HTML bytes are
 //! identical at any `--jobs` count.
 
+use crate::args::RunOptions;
 use crate::experiments::ScopeProfileResult;
 use serde::{Deserialize, Serialize, Value};
 use symbfuzz_core::{ScopeGoalRow, SOLVERSCOPE_VERSION};
@@ -39,12 +40,12 @@ pub struct ScopeReport {
 }
 
 /// Builds the report by running the introspected campaign profile.
-pub fn build_scope_report(max_vectors: u64, solver_budget: u64, jobs: usize) -> ScopeReport {
+pub fn build_scope_report(max_vectors: u64, solver_budget: u64, opts: &RunOptions) -> ScopeReport {
     ScopeReport {
         version: SCOPEREPORT_VERSION,
         max_vectors,
         solver_budget,
-        designs: crate::experiments::solverscope_profile(max_vectors, solver_budget, jobs),
+        designs: crate::experiments::solverscope_profile(max_vectors, solver_budget, opts),
     }
 }
 

@@ -7,6 +7,7 @@ use std::time::Instant;
 use symbfuzz_bench::experiments::resource_profile;
 use symbfuzz_bench::pool::merge_telemetry;
 use symbfuzz_bench::trace::phase_table;
+use symbfuzz_bench::RunOptions;
 use symbfuzz_core::{FuzzConfig, PropertySpec, Strategy, SymbFuzz};
 use symbfuzz_netlist::elaborate_src;
 use symbfuzz_telemetry::{BufferSink, Collector, Event, Phase, Record, TraceLine};
@@ -46,8 +47,8 @@ fn lock_fuzzer(max_vectors: u64) -> SymbFuzz {
 /// campaign report embedding them) are byte-identical at any `--jobs`.
 #[test]
 fn merged_telemetry_is_byte_identical_across_job_counts() {
-    let serial = resource_profile(1, 2_000, 1);
-    let wide = resource_profile(1, 2_000, 4);
+    let serial = resource_profile(1, 2_000, &RunOptions::with_jobs(1));
+    let wide = resource_profile(1, 2_000, &RunOptions::with_jobs(4));
     let merged_serial = merge_telemetry(serial.iter().map(|(_, r)| &r.telemetry));
     let merged_wide = merge_telemetry(wide.iter().map(|(_, r)| &r.telemetry));
     assert_eq!(
