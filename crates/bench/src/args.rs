@@ -3,8 +3,8 @@
 //! [`parse_bench_args`] reads the process arguments once into a
 //! [`BenchArgs`]: the positional arguments, the log level and one
 //! [`RunOptions`] value that every experiment takes by reference.
-//! Every binary accepts, besides its positional arguments and the
-//! extra flags it names itself:
+//! Every campaign binary accepts, besides its positional arguments and
+//! the extra flags it names itself:
 //!
 //! * `--jobs N` / `-j N` / `-jN` — worker threads (default: all cores;
 //!   reports are byte-identical at any count);
@@ -36,16 +36,21 @@
 //! * `--affinity` — order each guidance round's goal batch by
 //!   KMV-sketch affinity (implies `--introspect`).
 //!
-//! Every valued flag also takes the `--flag=VALUE` spelling. An unknown
-//! flag, a missing or malformed value, `--flight-out`/`--status-out`
-//! without `--sample-every`, an option set the campaign config rejects,
-//! or a trace file that cannot be created prints the usage line and
-//! exits with status 2.
+//! Every valued flag also takes the `--flag=VALUE` spelling. A binary's
+//! usage line is also its parser's spec ([`split_bench_args`]): it names
+//! the binary's own flags and its positional arguments, which must be
+//! non-negative integers. A binary that lists shared flags in its usage
+//! line accepts only those. An unknown or unaccepted flag, a missing or
+//! malformed value, a malformed or surplus positional argument,
+//! `--flight-out`/`--status-out` without `--sample-every`, an option set
+//! the campaign config rejects, or a trace file that cannot be created
+//! prints the usage line and exits with status 2.
 
 use crate::pool::default_jobs;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::path::PathBuf;
+use std::process::ExitCode;
 use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 use symbfuzz_core::{FuzzConfig, FuzzConfigBuilder, SymbFuzz};
@@ -171,7 +176,8 @@ impl RunOptions {
 /// Parsed bench arguments.
 #[derive(Debug)]
 pub struct BenchArgs {
-    /// Positional arguments and the binary's own extra flags, in order.
+    /// Positional arguments and the binary's own flags (a valued one as
+    /// `--flag=VALUE`), in order.
     pub rest: Vec<String>,
     /// Requested stderr log level.
     pub log_level: Level,
@@ -181,6 +187,7 @@ pub struct BenchArgs {
 
 impl BenchArgs {
     /// The `n`-th positional argument parsed as `T`, else `default`.
+    /// The parser has checked that it is a non-negative integer.
     pub fn pos<T: FromStr>(&self, n: usize, default: T) -> T {
         self.rest
             .get(n)
@@ -195,40 +202,89 @@ impl BenchArgs {
         self.rest.retain(|a| a != flag);
         self.rest.len() != before
     }
+
+    /// Removes every occurrence of the valued extra flag `flag` (kept in
+    /// [`rest`](Self::rest) as `flag=VALUE`) and returns its last value.
+    pub fn take_value(&mut self, flag: &str) -> Option<String> {
+        let prefix = format!("{flag}=");
+        let value = self.rest.iter().rev().find_map(|a| a.strip_prefix(&prefix));
+        let value = value.map(str::to_string);
+        self.rest.retain(|a| !a.starts_with(&prefix));
+        value
+    }
+}
+
+/// The flags, each with the name of its value if it takes one, and the
+/// positional-argument names a usage line lists ([`split_usage`]).
+fn usage_spec(usage: &str) -> (Vec<(&str, Option<&str>)>, Vec<&str>) {
+    let (mut flags, mut positionals) = (Vec::new(), Vec::new());
+    let mut words = usage
+        .split_whitespace()
+        .skip(1)
+        .map(|w| w.trim_matches(['[', ']']))
+        .filter(|w| *w != "|")
+        .peekable();
+    while let Some(w) = words.next() {
+        if !w.starts_with('-') {
+            positionals.push(w);
+            continue;
+        }
+        let value = words.next_if(|v| v.starts_with(|c: char| c.is_ascii_uppercase()));
+        flags.push((w, value));
+    }
+    (flags, positionals)
+}
+
+/// Whether `flag` is one of the shared run flags.
+fn is_shared(flag: &str) -> bool {
+    RUN_FLAGS_USAGE
+        .split_whitespace()
+        .any(|w| w.trim_matches(['[', ']']) == flag)
+}
+
+/// A bench binary's whole usage line: its own part `usage`, then the
+/// shared flags, unless `usage` lists the shared flags it accepts.
+fn full_usage(usage: &str) -> String {
+    if usage_spec(usage).0.iter().any(|(f, _)| is_shared(f)) {
+        usage.to_string()
+    } else {
+        format!("{usage} {RUN_FLAGS_USAGE}")
+    }
 }
 
 /// `value` parsed as `T`, or an error naming `flag`.
-fn parse_value<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
+pub fn parse_value<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
     value
         .parse()
         .map_err(|_| format!("malformed value `{value}` for `{flag}`"))
 }
 
-/// Parses `args` (program name excluded). Arguments that do not start
-/// with `-`, and the binary's `extra` flags (bare or as `--flag=VALUE`),
-/// pass through to [`BenchArgs::rest`] in order; everything else must
-/// be a shared flag. Opens the `--trace-out` file (truncating it).
+/// Checks `args` (program name excluded) against a binary's `usage`
+/// line and returns them in order: each flag as `--flag` or
+/// `--flag=VALUE` (`-j N` and `-jN` as `--jobs=N`), each positional
+/// argument as given. After the binary's name, the usage line lists
+/// flags, each with an upper-case name of its value if it takes one
+/// (`[--trace PATH]`; a name ending in `...` means the flag takes the
+/// positional arguments, as in `[--check FILE...]`), and lower-case
+/// positional-argument names (repeated when ending in `...`).
 ///
 /// # Errors
 ///
-/// A message naming the offending flag: unknown flag, missing or
-/// malformed value, `--flight-out`/`--status-out` without
-/// `--sample-every`, options the campaign config rejects, or a trace
-/// file that cannot be created.
-pub fn split_bench_args<A: IntoIterator<Item = String>>(
+/// A message naming the offending flag or position: a flag `usage` does
+/// not list, a missing value, a value given to a switch, or a malformed
+/// or surplus positional argument. Positional arguments must be
+/// non-negative integers, unless a flag taking them (`--check FILE...`)
+/// was given.
+pub fn split_usage<A: IntoIterator<Item = String>>(
     args: A,
-    extra: &[&str],
-) -> Result<BenchArgs, String> {
-    let mut rest = Vec::new();
-    let mut log_level = Level::Info;
-    let mut trace_out = None;
-    let mut run = RunOptions::with_jobs(default_jobs());
+    usage: &str,
+) -> Result<Vec<String>, String> {
+    let (flags, positionals) = usage_spec(usage);
+    let (mut out, mut files) = (Vec::new(), false);
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
-        let is_extra =
-            |f: &&str| arg == *f || arg.strip_prefix(*f).is_some_and(|v| v.starts_with('='));
-        if !arg.starts_with('-') || extra.iter().any(is_extra) {
-            rest.push(arg);
+        if !arg.starts_with('-') {
+            out.push(arg);
             continue;
         }
         let (flag, inline) = match arg.strip_prefix("-j").filter(|n| !n.is_empty()) {
@@ -237,31 +293,83 @@ pub fn split_bench_args<A: IntoIterator<Item = String>>(
                 .split_once('=')
                 .map_or((arg.as_str(), None), |(f, v)| (f, Some(v))),
         };
-        let mut value = || {
-            inline
-                .map(str::to_string)
-                .or_else(|| args.next())
-                .ok_or_else(|| format!("`{flag}` needs a value"))
-        };
-        match flag {
-            "--introspect" if inline.is_none() => run.introspect = true,
-            "--incremental" if inline.is_none() => run.incremental = true,
-            "--affinity" if inline.is_none() => run.affinity = true,
-            "--jobs" | "-j" => run.jobs = parse_value::<usize>(flag, &value()?)?.max(1),
-            "--log-level" => log_level = parse_value(flag, &value()?)?,
-            "--trace-out" => trace_out = Some(PathBuf::from(value()?)),
-            "--solver-budget" => run.solver_budget = Some(parse_value(flag, &value()?)?),
-            "--solve-wall-ms" => run.solve_wall_ms = Some(parse_value(flag, &value()?)?),
-            "--snapshot-budget" => run.snapshot_budget = Some(parse_value(flag, &value()?)?),
-            "--sample-every" => {
-                run.sample_every = Some(parse_value::<u64>(flag, &value()?)?.max(1));
+        let name = if flag == "-j" { "--jobs" } else { flag };
+        match flags.iter().find(|(f, _)| *f == name) {
+            Some((_, None)) if inline.is_none() => out.push(arg),
+            Some((_, Some(v))) if v.ends_with("...") && inline.is_none() => {
+                files = true;
+                out.push(arg);
             }
-            "--flight-out" => run.flight_out = Some(PathBuf::from(value()?)),
-            "--status-out" => run.status_out = Some(PathBuf::from(value()?)),
-            "--solver-cache-budget" => {
-                run.solver_cache_budget = Some(parse_value(flag, &value()?)?);
+            Some((_, Some(_))) => {
+                let value = inline
+                    .map(str::to_string)
+                    .or_else(|| args.next())
+                    .ok_or_else(|| format!("`{flag}` needs a value"))?;
+                out.push(format!("{name}={value}"));
+            }
+            None if is_shared(name) => {
+                let bin = usage.split(' ').next().unwrap_or_default();
+                return Err(format!("`{flag}` has no effect in {bin}"));
             }
             _ => return Err(format!("unknown flag `{arg}`")),
+        }
+    }
+    if !files {
+        let repeats = positionals.last().filter(|p| p.ends_with("..."));
+        for (i, a) in out.iter().filter(|a| !a.starts_with('-')).enumerate() {
+            let Some(name) = positionals.get(i).or(repeats) else {
+                return Err(format!("surplus positional argument {} `{a}`", i + 1));
+            };
+            if a.parse::<u64>().is_err() {
+                return Err(format!(
+                    "positional argument {} ({}) must be a non-negative integer, got `{a}`",
+                    i + 1,
+                    name.trim_end_matches("...")
+                ));
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Parses `args` (program name excluded) with [`split_usage`] against
+/// the binary's own `usage` line followed by the shared flags, or
+/// against `usage` alone when it lists the shared flags it accepts.
+/// Positional arguments and the binary's own flags
+/// pass through to [`BenchArgs::rest`] in order, a valued one as
+/// `--flag=VALUE`. Opens the `--trace-out` file (truncating it).
+///
+/// # Errors
+///
+/// A message naming the offending flag or position: a [`split_usage`]
+/// error, a malformed value, `--flight-out`/`--status-out` without
+/// `--sample-every`, options the campaign config rejects, or a trace
+/// file that cannot be created.
+pub fn split_bench_args<A: IntoIterator<Item = String>>(
+    args: A,
+    usage: &str,
+) -> Result<BenchArgs, String> {
+    let mut rest = Vec::new();
+    let mut log_level = Level::Info;
+    let mut trace_out = None;
+    let mut run = RunOptions::with_jobs(default_jobs());
+    for arg in split_usage(args, &full_usage(usage))? {
+        let (flag, value) = arg.split_once('=').unwrap_or((&arg, ""));
+        match flag {
+            "--introspect" => run.introspect = true,
+            "--incremental" => run.incremental = true,
+            "--affinity" => run.affinity = true,
+            "--jobs" => run.jobs = parse_value::<usize>(flag, value)?.max(1),
+            "--log-level" => log_level = parse_value(flag, value)?,
+            "--trace-out" => trace_out = Some(PathBuf::from(value)),
+            "--solver-budget" => run.solver_budget = Some(parse_value(flag, value)?),
+            "--solve-wall-ms" => run.solve_wall_ms = Some(parse_value(flag, value)?),
+            "--snapshot-budget" => run.snapshot_budget = Some(parse_value(flag, value)?),
+            "--sample-every" => run.sample_every = Some(parse_value::<u64>(flag, value)?.max(1)),
+            "--flight-out" => run.flight_out = Some(PathBuf::from(value)),
+            "--status-out" => run.status_out = Some(PathBuf::from(value)),
+            "--solver-cache-budget" => run.solver_cache_budget = Some(parse_value(flag, value)?),
+            _ => rest.push(arg),
         }
     }
     if run.sample_every.is_none() && (run.flight_out.is_some() || run.status_out.is_some()) {
@@ -282,19 +390,46 @@ pub fn split_bench_args<A: IntoIterator<Item = String>>(
     })
 }
 
+/// Reads each file of `paths` and runs `check(path, text)` on it,
+/// printing `PATH: <its note>` on success and `BIN: PATH: <error>` on
+/// failure; the status fails if any file is unreadable or rejected.
+pub fn check_files(
+    bin: &str,
+    paths: &[String],
+    check: impl Fn(&str, &str) -> Result<String, String>,
+) -> ExitCode {
+    let mut ok = true;
+    for p in paths {
+        let res = std::fs::read_to_string(p)
+            .map_err(|e| format!("cannot read {p}: {e}"))
+            .and_then(|text| check(p, &text).map_err(|e| format!("{p}: {e}")));
+        match res {
+            Ok(note) => println!("{p}: {note}"),
+            Err(e) => {
+                eprintln!("{bin}: {e}");
+                ok = false;
+            }
+        }
+    }
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
 /// [`split_bench_args`] over the process arguments; sets the global log
-/// level. On an error prints it and the usage line — `usage` (the
-/// binary's name, positional arguments and extra flags) followed by
-/// the shared flags — and exits with status 2.
-pub fn parse_bench_args(usage: &str, extra: &[&str]) -> BenchArgs {
-    match split_bench_args(std::env::args().skip(1), extra) {
+/// level. On an error prints it and the whole usage line (shared flags
+/// included) and exits with status 2.
+pub fn parse_bench_args(usage: &str) -> BenchArgs {
+    match split_bench_args(std::env::args().skip(1), usage) {
         Ok(args) => {
             set_log_level(args.log_level);
             args
         }
         Err(e) => {
             let bin = usage.split_whitespace().next().unwrap_or("bench");
-            eprintln!("{bin}: {e}\nusage: {usage} {RUN_FLAGS_USAGE}");
+            eprintln!("{bin}: {e}\nusage: {}", full_usage(usage));
             std::process::exit(2);
         }
     }
@@ -305,12 +440,15 @@ mod tests {
     use super::*;
     use std::path::Path;
 
+    /// Any number of positional arguments, no flags of its own.
+    const ANY: &str = "bench [n...]";
+
     fn split(s: &str) -> BenchArgs {
-        split_with(s, &[]).unwrap()
+        split_with(s, ANY).unwrap()
     }
 
-    fn split_with(s: &str, extra: &[&str]) -> Result<BenchArgs, String> {
-        split_bench_args(s.split_whitespace().map(String::from), extra)
+    fn split_with(s: &str, usage: &str) -> Result<BenchArgs, String> {
+        split_bench_args(s.split_whitespace().map(String::from), usage)
     }
 
     /// A fresh scratch directory for one test; the test removes it.
@@ -436,15 +574,42 @@ mod tests {
 
     #[test]
     fn extra_flags_pass_through_in_order() {
-        let mut a = split_with("--smoke 500 -j 2", &["--smoke"]).unwrap();
+        let mut a = split_with("--smoke 500 -j 2", "snapbench [--smoke] [vectors]").unwrap();
         assert_eq!(a.rest, vec!["--smoke".to_string(), "500".to_string()]);
         assert!(a.take_flag("--smoke"));
         assert_eq!(a.pos(0, 0u64), 500);
         assert!(!a.take_flag("--smoke"));
-        let b = split_with("--check a.json --trace=t.jsonl", &["--check", "--trace"]).unwrap();
+        let covreport = "covreport [--check FILE...] [budget] [bench_index] [--trace PATH]";
+        let mut b = split_with("--check a.json --trace=t.jsonl", covreport).unwrap();
         assert_eq!(b.rest, vec!["--check", "a.json", "--trace=t.jsonl"]);
+        // A valued flag's value is read like a shared flag's, in either
+        // spelling, and kept as `--flag=VALUE`.
+        assert_eq!(b.take_value("--trace").as_deref(), Some("t.jsonl"));
+        assert_eq!(b.rest, vec!["--check", "a.json"]);
+        let mut c = split_with("200 --trace t.jsonl 1", covreport).unwrap();
+        assert_eq!(c.rest, vec!["200", "--trace=t.jsonl", "1"]);
+        assert_eq!(c.take_value("--trace").as_deref(), Some("t.jsonl"));
+        assert_eq!((c.pos(0, 0u64), c.pos(1, 9usize)), (200, 1));
+        assert_eq!(c.take_value("--trace"), None);
+        let solverscope =
+            "solverscope [--check FILE... | --check-bench DIR] [max_vectors] [solver_budget]";
+        let mut d = split_with("--check-bench results", solverscope).unwrap();
+        assert_eq!(d.take_value("--check-bench").as_deref(), Some("results"));
+        assert!(d.rest.is_empty());
         // Another binary's extra flag is unknown here.
-        assert!(split_with("--smoke", &["--check"]).is_err());
+        assert!(split_with("--smoke", "covreport [--check FILE...]").is_err());
+        // A binary that lists shared flags accepts exactly those.
+        let simbench = "simbench [cycles] [--log-level LEVEL]";
+        assert_eq!(
+            split_with("10 --log-level warn", simbench)
+                .unwrap()
+                .log_level,
+            Level::Warn
+        );
+        let snapbench =
+            "snapbench [--smoke] [vectors] [--snapshot-budget BYTES] [--log-level LEVEL]";
+        let e = split_with("--smoke --snapshot-budget=4096", snapbench).unwrap();
+        assert_eq!(e.run.snapshot_budget, Some(4096));
     }
 
     /// Every malformed command line is rejected with a message naming
@@ -454,34 +619,76 @@ mod tests {
         let missing =
             std::env::temp_dir().join(format!("bench-args-{}-absent", std::process::id()));
         let unwritable = format!("--trace-out {}", missing.join("t.jsonl").display());
-        let cases: &[(&str, &str)] = &[
-            ("50 500 --portfolio 4", "--portfolio"),
-            ("--incremntal 200", "--incremntal"),
-            ("--solver-budget lots", "--solver-budget"),
-            ("--snapshot-budget plenty", "--snapshot-budget"),
-            ("--sample-every often", "--sample-every"),
-            ("--solver-cache-budget big", "--solver-cache-budget"),
-            ("--solve-wall-ms=-5", "--solve-wall-ms"),
-            ("--log-level chatty 42", "--log-level"),
-            ("--jobs many", "--jobs"),
-            ("-jx", "-j"),
-            ("--jobs", "--jobs"),
-            ("--trace-out", "--trace-out"),
-            ("--introspect=yes", "--introspect=yes"),
-            ("-x", "-x"),
-            ("--flight-out f.jsonl", "--flight-out"),
-            ("--status-out=s.json", "--status-out"),
-            ("--solver-budget 0", "solver budget"),
-            ("--snapshot-budget 100", "snapshot_mem_budget"),
-            (&unwritable, "--trace-out"),
+        let table2 = "table2 [budget]";
+        let budgetbench = "budgetbench [--smoke] [max_vectors] [budget...]";
+        let covreport = "covreport [--check FILE...] [budget] [bench_index] [--trace PATH]";
+        let solverscope =
+            "solverscope [--check FILE... | --check-bench DIR] [max_vectors] [solver_budget]";
+        let simbench = "simbench [cycles] [--log-level LEVEL]";
+        let snapbench =
+            "snapbench [--smoke] [vectors] [--snapshot-budget BYTES] [--log-level LEVEL]";
+        let cases: &[(&str, &str, &str)] = &[
+            (ANY, "50 500 --portfolio 4", "--portfolio"),
+            (ANY, "--incremntal 200", "--incremntal"),
+            (ANY, "--solver-budget lots", "--solver-budget"),
+            (ANY, "--snapshot-budget plenty", "--snapshot-budget"),
+            (ANY, "--sample-every often", "--sample-every"),
+            (ANY, "--solver-cache-budget big", "--solver-cache-budget"),
+            (ANY, "--solve-wall-ms=-5", "--solve-wall-ms"),
+            (ANY, "--log-level chatty 42", "--log-level"),
+            (ANY, "--jobs many", "--jobs"),
+            (ANY, "-jx", "-j"),
+            (ANY, "--jobs", "--jobs"),
+            (ANY, "--trace-out", "--trace-out"),
+            (ANY, "--introspect=yes", "--introspect=yes"),
+            (ANY, "-x", "-x"),
+            (ANY, "--flight-out f.jsonl", "--flight-out"),
+            (ANY, "--status-out=s.json", "--status-out"),
+            (ANY, "--solver-budget 0", "solver budget"),
+            (ANY, "--snapshot-budget 100", "snapshot_mem_budget"),
+            (ANY, &unwritable, "--trace-out"),
+            // Malformed and surplus positional arguments.
+            (table2, "3k", "positional argument 1 (budget)"),
+            (table2, "4 3000", "surplus positional argument 2"),
+            (budgetbench, "50 500 x", "positional argument 3 (budget)"),
+            (ANY, "-5", "-5"),
+            // A valued flag of the binary's own without its value.
+            (covreport, "200 0 --trace", "`--trace` needs a value"),
+            (
+                solverscope,
+                "--check-bench",
+                "`--check-bench` needs a value",
+            ),
+            (snapbench, "--smoke=1", "--smoke=1"),
+            // Shared flags a binary would ignore.
+            (
+                simbench,
+                "10 --trace-out f.jsonl",
+                "`--trace-out` has no effect in simbench",
+            ),
+            (simbench, "-j2", "`-j` has no effect"),
+            (
+                snapbench,
+                "--smoke --introspect",
+                "`--introspect` has no effect in snapbench",
+            ),
+            (snapbench, "--jobs 2", "`--jobs` has no effect"),
         ];
-        for (args, named) in cases {
-            let err = split_with(args, &[]).unwrap_err();
+        for (usage, args, named) in cases {
+            let err = split_with(args, usage).unwrap_err();
             assert!(
                 err.contains(named),
                 "`{args}`: error `{err}` does not name `{named}`"
             );
         }
+        // `simbench --trace-out` leaves the file alone.
+        let kept = scratch_dir("kept").join("t.jsonl");
+        std::fs::write(&kept, "keep").unwrap();
+        split_with(&format!("--trace-out {}", kept.display()), simbench).unwrap_err();
+        assert_eq!(std::fs::read_to_string(&kept).unwrap(), "keep");
+        std::fs::remove_dir_all(kept.parent().unwrap()).unwrap();
+        // The files of `--check` are not numbers.
+        assert!(split_with("--check a.json b.json", covreport).is_ok());
     }
 
     #[test]

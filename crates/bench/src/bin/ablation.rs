@@ -21,7 +21,7 @@ use symbfuzz_core::{CampaignResult, FuzzConfig, Strategy, SymbFuzz};
 use symbfuzz_designs::processor_benchmarks;
 
 fn main() {
-    let args = parse_bench_args("ablation [budget] [bench_index]", &[]);
+    let args = parse_bench_args("ablation [budget] [bench_index]");
     let budget: u64 = args.pos(0, 30_000);
     let bench: usize = args.pos(1, 0);
     let b = &processor_benchmarks()[bench];

@@ -19,10 +19,7 @@ use symbfuzz_bench::parse_bench_args;
 use symbfuzz_bench::render::{render_budget_profile, render_solvercache_profile, save_json};
 
 fn main() {
-    let mut args = parse_bench_args(
-        "budgetbench [--smoke] [max_vectors] [budget...]",
-        &["--smoke"],
-    );
+    let mut args = parse_bench_args("budgetbench [--smoke] [max_vectors] [budget...]");
     if args.take_flag("--smoke") {
         let rows = budget_profile(&[500], 300, &args.run);
         println!("{}", render_budget_profile(&rows));
@@ -39,10 +36,7 @@ fn main() {
     }
     let max_vectors: u64 = args.pos(0, 1_000);
     let budgets: Vec<u64> = if args.rest.len() > 1 {
-        args.rest[1..]
-            .iter()
-            .filter_map(|a| a.parse().ok())
-            .collect()
+        (1..args.rest.len()).map(|i| args.pos(i, 0)).collect()
     } else {
         vec![500, 2_000, 10_000]
     };

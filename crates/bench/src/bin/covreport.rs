@@ -20,76 +20,32 @@
 //!   violation.
 
 use std::process::ExitCode;
+use symbfuzz_bench::args::{check_files, parse_bench_args};
 use symbfuzz_bench::covreport::{
     build_report, render_html, render_markdown, trace_mechanism_counts, validate_covmap,
     validate_report,
 };
 use symbfuzz_bench::experiments::resource_profile;
-use symbfuzz_bench::parse_bench_args;
 use symbfuzz_bench::render::save_json;
 use symbfuzz_designs::processor_benchmarks;
 use symbfuzz_telemetry::{info, parse_trace};
 
-fn check_files(paths: &[String]) -> ExitCode {
-    let mut ok = true;
-    for p in paths {
-        let text = match std::fs::read_to_string(p) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("covreport: cannot read {p}: {e}");
-                ok = false;
-                continue;
-            }
-        };
-        // Reports carry a `strategies` list; covmaps a `fuzzer` stamp.
-        let res = if text.contains("\"strategies\"") {
-            validate_report(&text).map(|_| "report")
-        } else {
-            validate_covmap(&text).map(|_| "covmap")
-        };
-        match res {
-            Ok(kind) => println!("{p}: {kind} schema OK"),
-            Err(e) => {
-                eprintln!("covreport: {p}: {e}");
-                ok = false;
-            }
-        }
-    }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 fn main() -> ExitCode {
-    let args = parse_bench_args(
-        "covreport [--check FILE...] [budget] [bench_index] [--trace PATH]",
-        &["--check", "--trace"],
-    );
-    let mut trace_path: Option<String> = None;
-    let mut check = false;
-    let mut positional = Vec::new();
-    let mut it = args.rest.iter();
-    while let Some(a) = it.next() {
-        if a == "--check" {
-            check = true;
-        } else if a == "--trace" {
-            trace_path = it.next().cloned();
-        } else if let Some(v) = a.strip_prefix("--trace=") {
-            trace_path = Some(v.to_string());
-        } else {
-            positional.push(a.clone());
-        }
+    let mut args =
+        parse_bench_args("covreport [--check FILE...] [budget] [bench_index] [--trace PATH]");
+    let trace_path = args.take_value("--trace");
+    if args.take_flag("--check") {
+        // Reports carry a `strategies` list; covmaps a `fuzzer` stamp.
+        return check_files("covreport", &args.rest, |_, text| {
+            if text.contains("\"strategies\"") {
+                validate_report(text).map(|_| "report schema OK".into())
+            } else {
+                validate_covmap(text).map(|_| "covmap schema OK".into())
+            }
+        });
     }
-    if check {
-        return check_files(&positional);
-    }
-    let budget: u64 = positional
-        .first()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(5_000);
-    let bench: usize = positional.get(1).and_then(|a| a.parse().ok()).unwrap_or(0);
+    let budget: u64 = args.pos(0, 5_000);
+    let bench: usize = args.pos(1, 0);
     let benches = processor_benchmarks();
     let Some(name) = benches.get(bench).map(|b| b.name) else {
         eprintln!(

@@ -14,7 +14,7 @@ use symbfuzz_bench::render::{render_fig4a_csv, save_json};
 use symbfuzz_telemetry::info;
 
 fn main() {
-    let args = parse_bench_args("fig4a [budget] [bench_index]", &[]);
+    let args = parse_bench_args("fig4a [budget] [bench_index]");
     let budget: u64 = args.pos(0, 40_000);
     let bench: usize = args.pos(1, 0);
     let race = coverage_race(bench, budget, 0x46A, &args.run);

@@ -13,7 +13,7 @@ use symbfuzz_bench::parse_bench_args;
 use symbfuzz_bench::render::{render_fig4b_csv, save_json};
 
 fn main() {
-    let args = parse_bench_args("fig4b [budget] [runs] [bench_index]", &[]);
+    let args = parse_bench_args("fig4b [budget] [runs] [bench_index]");
     let budget: u64 = args.pos(0, 10_000);
     let runs: u64 = args.pos(1, 4);
     let bench: usize = args.pos(2, 0);

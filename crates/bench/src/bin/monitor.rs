@@ -12,20 +12,25 @@
 //! * default paths: `results/status.json`, `results/flight.jsonl`;
 //! * `--once` — render one snapshot and exit (default: poll forever
 //!   every `--interval-ms`, default 1000);
-//! * `--json` — with `--once`, emit the validated status heartbeat
-//!   plus a flight-stream summary as one JSON object;
-//! * `--check` — validate both artifacts against the flight schema and
-//!   exit; any violation (including an empty or truncated stream)
-//!   exits non-zero naming the first bad line;
+//! * `--json` — with `--once`, emit the checked status heartbeat plus
+//!   a flight-stream summary as one JSON object;
+//! * `--check` — check both artifacts and exit: each must parse under
+//!   the one flight-recorder schema (the telemetry crate's record
+//!   module) and re-emit byte-identically, profiler sections included;
+//!   any violation (including an empty or truncated stream) exits
+//!   non-zero naming the field, or the first bad line of the stream;
 //! * `--prom-out PATH` — additionally write a Prometheus-style text
 //!   exposition of the heartbeat each refresh;
 //! * `--top K` — rows in the hot-cone / hardest-goal tables (default
 //!   10).
 
-use serde::Value;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use symbfuzz_bench::monitor::{check_flight, check_status, render_dashboard, render_prometheus};
+use symbfuzz_bench::args::{parse_value, split_usage};
+use symbfuzz_bench::monitor::{
+    check_flight, check_status, render_dashboard, render_json, render_prometheus, Heartbeat,
+};
+use symbfuzz_telemetry::FlightSample;
 
 struct MonitorArgs {
     status: PathBuf,
@@ -38,7 +43,10 @@ struct MonitorArgs {
     top: usize,
 }
 
-fn parse_args() -> Option<MonitorArgs> {
+const USAGE: &str = "monitor [--status PATH] [--flight PATH] [--once] [--json] [--check] \
+                     [--prom-out PATH] [--interval-ms N] [--top K]";
+
+fn parse_args() -> Result<MonitorArgs, String> {
     let mut out = MonitorArgs {
         status: PathBuf::from("results/status.json"),
         flight: PathBuf::from("results/flight.jsonl"),
@@ -49,35 +57,24 @@ fn parse_args() -> Option<MonitorArgs> {
         interval_ms: 1000,
         top: 10,
     };
-    let mut args = std::env::args().skip(1).peekable();
-    while let Some(a) = args.next() {
-        let mut value = |inline: Option<&str>| -> Option<String> {
-            inline.map(String::from).or_else(|| args.next())
-        };
-        if a == "--once" {
-            out.once = true;
-        } else if a == "--json" {
-            out.json = true;
-        } else if a == "--check" {
-            out.check = true;
-        } else if a == "--status" || a.starts_with("--status=") {
-            out.status = PathBuf::from(value(a.strip_prefix("--status="))?);
-        } else if a == "--flight" || a.starts_with("--flight=") {
-            out.flight = PathBuf::from(value(a.strip_prefix("--flight="))?);
-        } else if a == "--prom-out" || a.starts_with("--prom-out=") {
-            out.prom_out = Some(PathBuf::from(value(a.strip_prefix("--prom-out="))?));
-        } else if a == "--interval-ms" || a.starts_with("--interval-ms=") {
-            out.interval_ms = value(a.strip_prefix("--interval-ms="))?.parse().ok()?;
-        } else if a == "--top" || a.starts_with("--top=") {
-            out.top = value(a.strip_prefix("--top="))?.parse().ok()?;
-        } else {
-            return None;
+    for arg in split_usage(std::env::args().skip(1), USAGE)? {
+        let (flag, value) = arg.split_once('=').unwrap_or((&arg, ""));
+        match flag {
+            "--once" => out.once = true,
+            "--json" => out.json = true,
+            "--check" => out.check = true,
+            "--status" => out.status = PathBuf::from(value),
+            "--flight" => out.flight = PathBuf::from(value),
+            "--prom-out" => out.prom_out = Some(PathBuf::from(value)),
+            "--interval-ms" => out.interval_ms = parse_value(flag, value)?,
+            "--top" => out.top = parse_value(flag, value)?,
+            _ => unreachable!("`split_usage` passes only the flags of the usage line"),
         }
     }
-    Some(out)
+    Ok(out)
 }
 
-fn read_artifacts(args: &MonitorArgs) -> Result<(Value, Vec<Value>), String> {
+fn read_artifacts(args: &MonitorArgs) -> Result<(Heartbeat, Vec<FlightSample>), String> {
     let status_text = std::fs::read_to_string(&args.status)
         .map_err(|e| format!("{}: {e}", args.status.display()))?;
     let status =
@@ -90,12 +87,12 @@ fn read_artifacts(args: &MonitorArgs) -> Result<(Value, Vec<Value>), String> {
 }
 
 fn main() -> ExitCode {
-    let Some(args) = parse_args() else {
-        eprintln!(
-            "usage: monitor [--status PATH] [--flight PATH] [--once] [--json] [--check] \
-             [--prom-out PATH] [--interval-ms N] [--top K]"
-        );
-        return ExitCode::FAILURE;
+    let args = match parse_args() {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("monitor: {e}\nusage: {USAGE}");
+            return ExitCode::from(2);
+        }
     };
     if args.check {
         return match read_artifacts(&args) {
@@ -124,18 +121,7 @@ fn main() -> ExitCode {
                     }
                 }
                 if args.json {
-                    let last = flight.last().cloned().unwrap_or(Value::Null);
-                    let summary = Value::Object(vec![
-                        ("status".into(), status),
-                        (
-                            "flight".into(),
-                            Value::Object(vec![
-                                ("samples".into(), Value::Num(flight.len() as f64)),
-                                ("last".into(), last),
-                            ]),
-                        ),
-                    ]);
-                    println!("{}", serde_json::to_string(&summary).expect("serializable"));
+                    println!("{}", render_json(&status, &flight));
                 } else {
                     if !args.once {
                         // Clear the terminal between refreshes.

@@ -112,7 +112,7 @@ fn load_history() -> Vec<Value> {
 }
 
 fn main() {
-    let args = parse_bench_args("resources [budget] [bench_index]", &[]);
+    let args = parse_bench_args("resources [budget] [bench_index]");
     let budget: u64 = args.pos(0, 20_000);
     let bench: usize = args.pos(1, 0);
     let rows = resource_profile(bench, budget, &args.run);

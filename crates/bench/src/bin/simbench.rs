@@ -7,7 +7,7 @@
 //!
 //! Usage: `simbench [cycles] [--log-level LEVEL]` (default 20000
 //! cycles). It runs no campaign, so the other shared flags of
-//! `symbfuzz_bench::args` are checked but have no effect.
+//! `symbfuzz_bench::args` would have no effect, and are rejected.
 
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
@@ -81,7 +81,7 @@ fn load_history() -> Vec<Value> {
 }
 
 fn main() {
-    let args = parse_bench_args("simbench [cycles]", &[]);
+    let args = parse_bench_args("simbench [cycles] [--log-level LEVEL]");
     let cycles: u64 = args.pos(0, 20_000);
     let procs = processor_benchmarks();
     let bugs = bug_benchmarks();

@@ -4,12 +4,12 @@
 //! under a tight snapshot byte budget. Emits
 //! `results/BENCH_snapshot.json`.
 //!
-//! Usage: `snapbench [--smoke] [vectors] [--snapshot-budget N]
+//! Usage: `snapbench [--smoke] [vectors] [--snapshot-budget BYTES]
 //! [--log-level LEVEL]` (default 20000 campaign vectors; `--smoke`
 //! drops to 2000 and cuts the timed microbench loops to 200
 //! iterations). The A/B arms pin their own campaign configs, so the
-//! other shared flags of `symbfuzz_bench::args` are checked but have no
-//! effect.
+//! other shared flags of `symbfuzz_bench::args` would have no effect,
+//! and are rejected.
 //!
 //! The campaign A/B forces snapshot-cache misses by shrinking the
 //! store budget (default 64 KiB here, not the 64 MiB campaign
@@ -180,7 +180,9 @@ fn campaign_arm(
 }
 
 fn main() {
-    let mut args = parse_bench_args("snapbench [--smoke] [vectors]", &["--smoke"]);
+    let mut args = parse_bench_args(
+        "snapbench [--smoke] [vectors] [--snapshot-budget BYTES] [--log-level LEVEL]",
+    );
     let smoke = args.take_flag("--smoke");
     let vectors: u64 = args.pos(0, if smoke { 2_000 } else { 20_000 });
     let iters: u64 = if smoke { 200 } else { 2_000 };

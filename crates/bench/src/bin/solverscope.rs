@@ -23,39 +23,13 @@
 //!   exits non-zero on the first violation.
 
 use std::process::ExitCode;
-use symbfuzz_bench::parse_bench_args;
+use symbfuzz_bench::args::{check_files, parse_bench_args};
 use symbfuzz_bench::render::save_json;
 use symbfuzz_bench::solverscope::{
     build_scope_report, render_scope_html, render_scope_markdown, validate_bench_artifact,
     validate_scope_report,
 };
 use symbfuzz_telemetry::info;
-
-fn check_files(paths: &[String]) -> ExitCode {
-    let mut ok = true;
-    for p in paths {
-        let text = match std::fs::read_to_string(p) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("solverscope: cannot read {p}: {e}");
-                ok = false;
-                continue;
-            }
-        };
-        match validate_scope_report(&text) {
-            Ok(r) => println!("{p}: scope report schema OK ({} designs)", r.designs.len()),
-            Err(e) => {
-                eprintln!("solverscope: {p}: {e}");
-                ok = false;
-            }
-        }
-    }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
 
 fn check_bench_dir(dir: &str) -> ExitCode {
     let entries = match std::fs::read_dir(dir) {
@@ -75,62 +49,35 @@ fn check_bench_dir(dir: &str) -> ExitCode {
         eprintln!("solverscope: no BENCH_*.json under {dir}");
         return ExitCode::FAILURE;
     }
-    let mut ok = true;
-    for name in &names {
-        let path = format!("{dir}/{name}");
-        let stem = name.trim_end_matches(".json");
-        let res = std::fs::read_to_string(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| validate_bench_artifact(stem, &text));
-        match res {
-            Ok(()) => println!("{path}: schema OK"),
-            Err(e) => {
-                eprintln!("solverscope: {path}: {e}");
-                ok = false;
-            }
-        }
-    }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    let paths: Vec<String> = names.iter().map(|n| format!("{dir}/{n}")).collect();
+    check_files("solverscope", &paths, |path, text| {
+        let stem = path
+            .rsplit('/')
+            .next()
+            .unwrap_or(path)
+            .trim_end_matches(".json");
+        validate_bench_artifact(stem, text).map(|()| "schema OK".into())
+    })
 }
 
 fn main() -> ExitCode {
-    let args = parse_bench_args(
+    let mut args = parse_bench_args(
         "solverscope [--check FILE... | --check-bench DIR] [max_vectors] [solver_budget]",
-        &["--check", "--check-bench"],
     );
-    let mut check = false;
-    let mut check_bench: Option<String> = None;
-    let mut positional = Vec::new();
-    let mut it = args.rest.iter();
-    while let Some(a) = it.next() {
-        if a == "--check" {
-            check = true;
-        } else if a == "--check-bench" {
-            check_bench = it.next().cloned();
-        } else if let Some(v) = a.strip_prefix("--check-bench=") {
-            check_bench = Some(v.to_string());
-        } else {
-            positional.push(a.clone());
-        }
-    }
-    if let Some(dir) = check_bench {
+    if let Some(dir) = args.take_value("--check-bench") {
         return check_bench_dir(&dir);
     }
-    if check {
-        return check_files(&positional);
+    if args.take_flag("--check") {
+        return check_files("solverscope", &args.rest, |_, text| {
+            let r = validate_scope_report(text)?;
+            Ok(format!(
+                "scope report schema OK ({} designs)",
+                r.designs.len()
+            ))
+        });
     }
-    let max_vectors: u64 = positional
-        .first()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(1_000);
-    let solver_budget: u64 = positional
-        .get(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(500);
+    let max_vectors: u64 = args.pos(0, 1_000);
+    let solver_budget: u64 = args.pos(1, 500);
     let report = build_scope_report(max_vectors, solver_budget, &args.run);
     save_json("solverscope", &report).expect("write results/solverscope.json");
     std::fs::write("results/solverscope.html", render_scope_html(&report))

@@ -13,7 +13,7 @@ use symbfuzz_bench::parse_bench_args;
 use symbfuzz_bench::render::{render_speedup, save_json};
 
 fn main() {
-    let args = parse_bench_args("speedup [budget] [bench_index]", &[]);
+    let args = parse_bench_args("speedup [budget] [bench_index]");
     let budget: u64 = args.pos(0, 40_000);
     let bench: usize = args.pos(1, 0);
     let s = speedup(bench, budget, &args.run);

@@ -13,7 +13,7 @@ use symbfuzz_bench::parse_bench_args;
 use symbfuzz_bench::render::{render_table1, save_json};
 
 fn main() {
-    let args = parse_bench_args("table1 [budget]", &[]);
+    let args = parse_bench_args("table1 [budget]");
     let budget: u64 = args.pos(0, 50_000);
     let rows = table1_rows(budget, &args.run);
     println!(

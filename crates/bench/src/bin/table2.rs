@@ -12,7 +12,7 @@ use symbfuzz_bench::parse_bench_args;
 use symbfuzz_bench::render::{render_table2, save_json};
 
 fn main() {
-    let args = parse_bench_args("table2 [budget]", &[]);
+    let args = parse_bench_args("table2 [budget]");
     let budget: u64 = args.pos(0, 30_000);
     let m = detection_matrix(14, budget, &args.run);
     println!("# Table 2 — bug detection by fuzzer (budget {budget}; paper value in parens)\n");

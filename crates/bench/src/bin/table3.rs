@@ -13,7 +13,7 @@ use symbfuzz_bench::parse_bench_args;
 use symbfuzz_bench::render::{render_table3, save_json};
 
 fn main() {
-    let args = parse_bench_args("table3 [budget]", &[]);
+    let args = parse_bench_args("table3 [budget]");
     let budget: u64 = args.pos(0, 20_000);
     let rows = table3_rows(budget, &args.run);
     println!("# Table 3 — benchmark details (campaign budget {budget})\n");

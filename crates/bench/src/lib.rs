@@ -34,8 +34,9 @@
 //! `--solver-cache-budget BYTES` / `--affinity`; `--log-level LEVEL`
 //! sets stderr verbosity. Reports are byte-identical for any job count
 //! (Table 3's wall-clock `latency_s` excepted), so parallelism is
-//! purely a wall-clock optimisation. An unknown flag or a malformed
-//! value exits with status 2 and the usage line.
+//! purely a wall-clock optimisation. An unknown flag, a malformed value
+//! or a malformed or surplus positional argument exits with status 2
+//! and the usage line.
 //!
 //! # Examples
 //!
@@ -68,7 +69,8 @@ pub use experiments::{
     ScopeProfileResult, SolverCacheResult, SolverCacheRow, Table1Row, Table3Row, VariancePoint,
 };
 pub use monitor::{
-    check_flight, check_status, parse_prometheus, render_dashboard, render_prometheus,
+    check_flight, check_status, parse_prometheus, render_dashboard, render_json, render_prometheus,
+    Heartbeat,
 };
 pub use pool::{
     default_jobs, merge_covmap_counts, merge_flight_rows, merge_solver_caches,

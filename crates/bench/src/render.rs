@@ -6,7 +6,7 @@ use serde::Serialize;
 use std::fs;
 use std::path::Path;
 use symbfuzz_core::CampaignResult;
-use symbfuzz_telemetry::{flight_line, status_json, write_atomic};
+use symbfuzz_telemetry::{write_atomic, Status};
 
 /// Writes `value` as pretty JSON under `results/<name>.json` (relative
 /// to the workspace root when run via `cargo run`).
@@ -51,29 +51,27 @@ pub fn write_flight_artifacts(
     if let Some(path) = flight_path {
         let mut text = String::new();
         for row in &merged {
-            text.push_str(&flight_line(&row.to_sample()));
+            text.push_str(&row.to_sample().to_json());
             text.push('\n');
         }
         fs::write(path, text)?;
     }
     if let Some(path) = status_path {
         let telemetry = merge_telemetry(results.iter().map(|r| &r.telemetry));
-        let mut extra = Vec::new();
+        let mut sections = Vec::new();
         if let Some(vm) = merge_vm_profiles(results.iter().map(|r| r.vm_profile.as_ref())) {
-            extra.push((
+            sections.push((
                 "vm_profile".to_string(),
                 serde_json::to_string(&vm).expect("serializable"),
             ));
         }
         let solver = merge_solver_profiles(results.iter().map(|r| &r.solver_profile));
-        extra.push((
+        sections.push((
             "solver_profile".to_string(),
             serde_json::to_string(&solver).expect("serializable"),
         ));
-        write_atomic(
-            path,
-            &status_json(&last.to_sample(), &telemetry.to_snapshot(), &extra),
-        )?;
+        let status = Status::new(&last.to_sample(), &telemetry.to_snapshot(), sections);
+        write_atomic(path, &status.to_json())?;
     }
     Ok(())
 }

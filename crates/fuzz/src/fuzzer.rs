@@ -388,7 +388,7 @@ impl SymbFuzz {
             let mut sampler = self.sampler.take().expect("checked above");
             if sampler.maybe_sample(&self.telemetry, &state).is_some() && sampler.has_status_path()
             {
-                sampler.write_status(&self.profile_sections());
+                sampler.write_status(self.profile_sections());
             }
             self.sampler = Some(sampler);
         }

@@ -445,7 +445,7 @@ impl From<&FlightSample> for FlightRow {
 
 impl FlightRow {
     /// Converts back to the telemetry-layer sample (for merging and
-    /// canonical [`symbfuzz_telemetry::flight_line`] rendering).
+    /// canonical [`FlightSample::to_json`] rendering).
     pub fn to_sample(&self) -> FlightSample {
         FlightSample {
             interval: self.interval,

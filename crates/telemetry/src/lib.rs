@@ -20,7 +20,9 @@
 //! [`TraceLine::parse`] / [`parse_trace`]. The collector formats every
 //! line it streams ([`Collector::record`], phase spans,
 //! [`Collector::emit`]) through `to_json`, and only when the sink is
-//! enabled.
+//! enabled. The same module owns the flight recorder's two artifacts:
+//! [`FlightSample`] lines of `flight.jsonl` and the [`Status`]
+//! heartbeat of `status.json`, each with a `to_json` and a `parse`.
 //!
 //! Timestamps come from a [`Clock`]. The default is the deterministic
 //! [`ManualClock`] (driven by the input-vector count), which keeps
@@ -43,10 +45,9 @@ pub use collector::{
 };
 pub use event::{Event, Mechanism, SolveStatus, TimedEvent, UnknownReason};
 pub use log::{log_at, log_enabled, log_level, set_log_level, Level};
-pub use record::{parse_trace, Record, TraceLine};
+pub use record::{parse_trace, Record, Status, TraceLine, FLIGHT_VERSION};
 pub use sampler::{
-    flight_line, merge_flight, status_json, write_atomic, FlightSample, SampleState, Sampler,
-    DEFAULT_SAMPLE_RING_CAP, FLIGHT_VERSION,
+    merge_flight, write_atomic, FlightSample, SampleState, Sampler, DEFAULT_SAMPLE_RING_CAP,
 };
 pub use sink::{BufferSink, FileSink, NullSink, SharedSink, StderrSink, TraceSink};
 pub use snapshot::{hist_quantile, MetricsSnapshot, PhaseStat};

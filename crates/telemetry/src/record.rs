@@ -1,21 +1,36 @@
-//! The JSONL trace schema, in both directions.
+//! Every telemetry artifact schema, in both directions.
 //!
-//! Every line a `--trace-out` trace holds is one [`TraceLine`]: a
-//! timestamp, a task label and a typed [`Record`]. This module is the
-//! only code that writes such a line ([`TraceLine::to_json`]) and the
-//! only code that reads one back ([`TraceLine::parse`],
-//! [`parse_trace`]). The `schema!` table below lists every record kind
-//! with its fields in wire order, once; each entry expands into one arm
-//! of the writer and one arm of the reader. Each field's JSON encoding
-//! is declared once per Rust type by the private `Field` trait. The
-//! reader decodes by field name and rejects missing, extra, duplicate
-//! and mistyped fields, unknown kinds and unknown enum names, so a line
-//! that parses is schema-valid. For a line the writer produced,
-//! `parse(line).to_json() == line`.
+//! Three artifacts leave the telemetry layer, and this module is the
+//! only code that writes them and the only code that reads them back:
+//!
+//! * a `--trace-out` JSONL trace, one [`TraceLine`] per line: a
+//!   timestamp, a task label and a typed [`Record`]
+//!   ([`TraceLine::to_json`], [`TraceLine::parse`], [`parse_trace`]);
+//! * the flight recorder's `flight.jsonl` stream, one [`FlightSample`]
+//!   per line ([`FlightSample::to_json`], [`FlightSample::parse`]);
+//! * the flight recorder's `status.json` heartbeat, one [`Status`]
+//!   ([`Status::to_json`], [`Status::parse`]).
+//!
+//! The `schema!` table below lists every trace record kind with its
+//! fields in wire order, once; each entry expands into one arm of the
+//! writer and one arm of the reader. Each field's JSON encoding is
+//! declared once per Rust type by the private `Field` trait. The readers
+//! decode by field name and reject missing, extra, duplicate and
+//! mistyped fields, numbers that are not non-negative integers, unknown
+//! kinds and unknown enum names; the flight readers also reject a wrong
+//! `"v"`, metric names out of their fixed order and vectors of the wrong
+//! width. So a line that parses is schema-valid, and for a line the
+//! writer produced, `parse(line).to_json() == line`.
 
-use crate::collector::Phase;
+use crate::collector::{Counter, Gauge, Phase};
 use crate::event::{Event, Mechanism, SolveStatus, UnknownReason};
+use crate::sampler::FlightSample;
+use crate::snapshot::MetricsSnapshot;
 use std::fmt::Write as _;
+
+/// Schema version stamped into every flight record and status
+/// heartbeat (`"v"` field). Bump when the sample layout changes.
+pub const FLIGHT_VERSION: u64 = 1;
 
 /// One trace record: a campaign [`Event`] or one of the synthetic
 /// records the collector and the flight recorder write.
@@ -116,10 +131,7 @@ impl TraceLine {
         let task = r.f("task")?;
         let kind: String = r.f("kind")?;
         let record = Record::read_fields(&kind, &mut r)?;
-        if !r.0.is_empty() {
-            let extra: Vec<&str> = r.0.iter().map(|(k, _)| k.as_str()).collect();
-            return Err(format!("`{kind}` has unexpected fields {extra:?}"));
-        }
+        r.finish(&format!("`{kind}`"))?;
         Ok(TraceLine { t, task, record })
     }
 }
@@ -210,32 +222,199 @@ pub fn parse_trace(text: &str) -> Result<Vec<TraceLine>, String> {
         .collect()
 }
 
-/// Appends `s` to `out` with JSON string escaping.
-pub(crate) fn escape_json_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+// --- the flight recorder: flight.jsonl and status.json --------------------
+
+impl FlightSample {
+    /// Renders the sample as one `flight.jsonl` line (no trailing
+    /// newline): `"v"`, the scalars, then the four positional vectors.
+    /// Two equal samples always render identically, which is what the
+    /// `--jobs` byte-identity contract of the merged stream rests on.
+    pub fn to_json(&self) -> String {
+        let mut w = Writer(format!("{{\"v\":{FLIGHT_VERSION}"));
+        w.f("interval", &self.interval);
+        w.f("t", &self.t);
+        w.f("task", &self.task);
+        w.f("vectors", &self.vectors);
+        w.f("coverage", &self.coverage);
+        w.f("nodes", &self.nodes);
+        w.f("edges", &self.edges);
+        w.f("stagnant", &self.stagnant);
+        w.f("d_counters", &self.d_counters);
+        w.f("gauges", &self.gauges);
+        w.f("d_events", &self.d_events);
+        w.f("d_phase_micros", &self.d_phase_micros);
+        w.0.push('}');
+        w.0
+    }
+
+    /// Parses and schema-checks one `flight.jsonl` line. Each vector
+    /// must be exactly as wide as its fixed order ([`Counter::ALL`],
+    /// [`Gauge::ALL`], [`Event::KINDS`], [`Phase::ALL`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first syntax or schema violation.
+    pub fn parse(line: &str) -> Result<FlightSample, String> {
+        let mut r = Reader(parse_object(line)?);
+        r.version()?;
+        let sample = FlightSample {
+            interval: r.f("interval")?,
+            t: r.f("t")?,
+            task: r.f("task")?,
+            vectors: r.f("vectors")?,
+            coverage: r.f("coverage")?,
+            nodes: r.f("nodes")?,
+            edges: r.f("edges")?,
+            stagnant: r.f("stagnant")?,
+            d_counters: r.vector("d_counters", Counter::COUNT)?,
+            gauges: r.vector("gauges", Gauge::COUNT)?,
+            d_events: r.vector("d_events", Event::KIND_COUNT)?,
+            d_phase_micros: r.vector("d_phase_micros", Phase::COUNT)?,
+        };
+        r.finish("a flight record")?;
+        Ok(sample)
+    }
+}
+
+/// The `status.json` heartbeat: the latest sample's scalars, the
+/// campaign's cumulative metrics, and the profiler sections.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Status {
+    /// Sample interval index of the latest sample.
+    pub interval: u64,
+    /// Clock reading at the latest sample.
+    pub t: u64,
+    /// Input vectors consumed.
+    pub vectors: u64,
+    /// Coverage points reached.
+    pub coverage: u64,
+    /// CFG nodes covered.
+    pub nodes: u64,
+    /// CFG edges covered.
+    pub edges: u64,
+    /// Consecutive coverage-flat intervals.
+    pub stagnant: u64,
+    /// Cumulative counters, `(name, value)` in [`Counter::ALL`] order.
+    pub counters: Vec<(String, u64)>,
+    /// Gauge levels, `(name, value)` in [`Gauge::ALL`] order.
+    pub gauges: Vec<(String, u64)>,
+    /// Event counts, `(kind, count)` in [`Event::KINDS`] order.
+    pub events: Vec<(String, u64)>,
+    /// Phase self-times, `(phase, micros)` in [`Phase::ALL`] order.
+    pub phase_self_micros: Vec<(String, u64)>,
+    /// Profiler sections, `(name, JSON object text)` in wire order. The
+    /// telemetry crate has no serde, so the caller renders and decodes
+    /// them; this module only checks that each is a JSON object.
+    pub sections: Vec<(String, String)>,
+}
+
+impl Status {
+    /// The heartbeat for the latest sample and its cumulative snapshot,
+    /// with the caller's profiler `sections`.
+    pub fn new(
+        latest: &FlightSample,
+        snapshot: &MetricsSnapshot,
+        sections: Vec<(String, String)>,
+    ) -> Status {
+        Status {
+            interval: latest.interval,
+            t: latest.t,
+            vectors: latest.vectors,
+            coverage: latest.coverage,
+            nodes: latest.nodes,
+            edges: latest.edges,
+            stagnant: latest.stagnant,
+            counters: snapshot.counters.clone(),
+            gauges: snapshot.gauges.clone(),
+            events: snapshot.events.clone(),
+            phase_self_micros: snapshot
+                .phases
+                .iter()
+                .map(|p| (p.phase.clone(), p.self_micros))
+                .collect(),
+            sections,
         }
+    }
+
+    /// The scalar header, `(field name, value)` in wire order.
+    pub fn scalars(&self) -> [(&'static str, u64); 7] {
+        [
+            ("interval", self.interval),
+            ("t", self.t),
+            ("vectors", self.vectors),
+            ("coverage", self.coverage),
+            ("nodes", self.nodes),
+            ("edges", self.edges),
+            ("stagnant", self.stagnant),
+        ]
+    }
+
+    /// Renders the heartbeat (no trailing newline): `"v"`, the scalars,
+    /// the four cumulative sections, then the profiler sections.
+    pub fn to_json(&self) -> String {
+        let mut w = Writer(format!("{{\"v\":{FLIGHT_VERSION}"));
+        for (name, value) in self.scalars() {
+            w.f(name, &value);
+        }
+        w.f("counters", &self.counters);
+        w.f("gauges", &self.gauges);
+        w.f("events", &self.events);
+        w.f("phase_self_micros", &self.phase_self_micros);
+        for (name, json) in &self.sections {
+            w.0.push(',');
+            name.write(&mut w.0);
+            w.0.push(':');
+            w.0.push_str(json);
+        }
+        w.0.push('}');
+        w.0
+    }
+
+    /// Parses and schema-checks a heartbeat. The four cumulative
+    /// sections must name their entries in the fixed orders; every
+    /// other field must be a JSON object and becomes a profiler section.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first syntax or schema violation.
+    pub fn parse(text: &str) -> Result<Status, String> {
+        let mut r = Reader(object(text, |c| c.nested_value())?);
+        r.version()?;
+        let mut status = Status {
+            interval: r.f("interval")?,
+            t: r.f("t")?,
+            vectors: r.f("vectors")?,
+            coverage: r.f("coverage")?,
+            nodes: r.f("nodes")?,
+            edges: r.f("edges")?,
+            stagnant: r.f("stagnant")?,
+            counters: r.named("counters", &Counter::ALL.map(Counter::name))?,
+            gauges: r.named("gauges", &Gauge::ALL.map(Gauge::name))?,
+            events: r.named("events", &Event::KINDS)?,
+            phase_self_micros: r.named("phase_self_micros", &Phase::ALL.map(Phase::name))?,
+            sections: Vec::new(),
+        };
+        for (name, raw) in r.0 {
+            let Raw::Obj(json) = raw else {
+                return Err(format!("unexpected field `{name}`, not an object"));
+            };
+            status.sections.push((name, json));
+        }
+        Ok(status)
     }
 }
 
 // --- the field trait: one JSON encoding per Rust type ---------------------
 
-/// A JSON value as the flat trace schema spells it.
+/// A JSON value as the schemas spell it.
 enum Raw {
     Num(u64),
     Str(String),
     Bool(bool),
     Null,
     Arr(Vec<u64>),
+    /// A nested object's source text (a heartbeat's sections).
+    Obj(String),
 }
 
 impl Raw {
@@ -246,6 +425,7 @@ impl Raw {
             Raw::Bool(_) => "bool",
             Raw::Null => "null",
             Raw::Arr(_) => "array",
+            Raw::Obj(_) => "object",
         }
     }
 }
@@ -287,7 +467,19 @@ impl Field for bool {
 impl Field for String {
     fn write(&self, out: &mut String) {
         out.push('"');
-        escape_json_into(self, out);
+        for c in self.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
         out.push('"');
     }
     fn read(raw: Raw) -> Result<String, String> {
@@ -329,6 +521,34 @@ impl Field for Vec<u64> {
         match raw {
             Raw::Arr(a) => Ok(a),
             r => Err(mistyped("array", &r)),
+        }
+    }
+}
+
+/// A `name → number` object, such as a heartbeat's `counters`.
+impl Field for Vec<(String, u64)> {
+    fn write(&self, out: &mut String) {
+        out.push('{');
+        for (i, (name, n)) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            name.write(out);
+            out.push(':');
+            n.write(out);
+        }
+        out.push('}');
+    }
+    fn read(raw: Raw) -> Result<Vec<(String, u64)>, String> {
+        match raw {
+            Raw::Obj(text) => parse_object(&text)?
+                .into_iter()
+                .map(|(name, v)| match u64::read(v) {
+                    Ok(n) => Ok((name, n)),
+                    Err(e) => Err(format!("`{name}` {e}")),
+                })
+                .collect(),
+            r => Err(mistyped("object", &r)),
         }
     }
 }
@@ -379,6 +599,54 @@ impl Reader {
             .position(|(k, _)| k == name)
             .ok_or_else(|| format!("missing `{name}`"))?;
         F::read(self.0.remove(i).1).map_err(|e| format!("`{name}` {e}"))
+    }
+
+    /// Takes `"v"`, which must be [`FLIGHT_VERSION`].
+    fn version(&mut self) -> Result<(), String> {
+        let v: u64 = self.f("v")?;
+        if v != FLIGHT_VERSION {
+            return Err(format!(
+                "unsupported flight schema v{v} (this reader speaks v{FLIGHT_VERSION})"
+            ));
+        }
+        Ok(())
+    }
+
+    /// Takes a number array that must hold exactly `width` entries.
+    fn vector(&mut self, name: &str, width: usize) -> Result<Vec<u64>, String> {
+        let v: Vec<u64> = self.f(name)?;
+        if v.len() != width {
+            return Err(format!(
+                "`{name}` has {} entries, expected {width}",
+                v.len()
+            ));
+        }
+        Ok(v)
+    }
+
+    /// Takes a `name → number` object whose names must be `order`.
+    fn named(&mut self, name: &str, order: &[&str]) -> Result<Vec<(String, u64)>, String> {
+        let pairs: Vec<(String, u64)> = self.f(name)?;
+        let got: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        if got != order {
+            let i = got.iter().zip(order).take_while(|(a, b)| a == b).count();
+            let show = |k: Option<&&str>| k.map_or("nothing".to_string(), |k| format!("`{k}`"));
+            return Err(format!(
+                "`{name}` entry {i} is {}, expected {}",
+                show(got.get(i)),
+                show(order.get(i))
+            ));
+        }
+        Ok(pairs)
+    }
+
+    /// Fails if any field was left untaken.
+    fn finish(self, what: &str) -> Result<(), String> {
+        if self.0.is_empty() {
+            return Ok(());
+        }
+        let extra: Vec<&str> = self.0.iter().map(|(k, _)| k.as_str()).collect();
+        Err(format!("{what} has unexpected fields {extra:?}"))
     }
 }
 
@@ -443,11 +711,44 @@ impl Cursor<'_> {
         let start = self.pos;
         let digits = self.src[start..].bytes().take_while(u8::is_ascii_digit);
         self.pos += digits.count();
+        if matches!(self.src.as_bytes().get(self.pos), Some(b'.' | b'e' | b'E')) {
+            return Err(NOT_NATURAL.into());
+        }
         self.src[start..self.pos]
             .parse::<u64>()
             .map_err(|e| e.to_string())
     }
 
+    /// Parses the rest of a bracketed list whose opening byte was just
+    /// consumed: `item (, item)* close`, or `close` alone.
+    fn list(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            item(self)?;
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b) if b == close => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                other => {
+                    return Err(format!(
+                        "expected `,` or `{}`, got {other:?}",
+                        close as char
+                    ))
+                }
+            }
+        }
+    }
+
+    /// A scalar or a number array; nested objects are rejected.
     fn value(&mut self) -> Result<Raw, String> {
         match self.peek() {
             Some(b'"') => Ok(Raw::Str(self.string()?)),
@@ -457,29 +758,48 @@ impl Cursor<'_> {
             Some(b'[') => {
                 self.pos += 1;
                 let mut items = Vec::new();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Raw::Arr(items));
-                }
-                loop {
-                    match self.value()? {
-                        Raw::Num(n) => items.push(n),
-                        v => {
-                            return Err(format!("arrays hold numbers only, got {}", v.type_name()))
-                        }
+                self.list(b']', |c| match c.value()? {
+                    Raw::Num(n) => {
+                        items.push(n);
+                        Ok(())
                     }
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Raw::Arr(items));
-                        }
-                        other => return Err(format!("expected `,` or `]`, got {other:?}")),
-                    }
-                }
+                    v => Err(format!("arrays hold numbers only, got {}", v.type_name())),
+                })?;
+                Ok(Raw::Arr(items))
             }
+            Some(b'-') => Err(NOT_NATURAL.into()),
             Some(b) if b.is_ascii_digit() => self.number().map(Raw::Num),
             other => Err(format!("unexpected value start {other:?}")),
+        }
+    }
+
+    /// Like [`Cursor::value`], but a nested object is kept as its
+    /// source text.
+    fn nested_value(&mut self) -> Result<Raw, String> {
+        if self.peek() != Some(b'{') {
+            return self.value();
+        }
+        let start = self.pos;
+        self.skip()?;
+        Ok(Raw::Obj(self.src[start..self.pos].to_string()))
+    }
+
+    /// Steps over one JSON value of any nesting, checking its syntax.
+    fn skip(&mut self) -> Result<(), String> {
+        match self.peek() {
+            Some(b'{') => {
+                self.pos += 1;
+                self.list(b'}', |c| {
+                    c.string()?;
+                    c.expect(b':')?;
+                    c.skip()
+                })
+            }
+            Some(b'[') => {
+                self.pos += 1;
+                self.list(b']', Cursor::skip)
+            }
+            _ => self.value().map(drop),
         }
     }
 
@@ -493,33 +813,33 @@ impl Cursor<'_> {
     }
 }
 
-/// Parses one flat JSON object (`{"k": scalar, ...}`, the whole trace
-/// schema; nested objects are rejected) into its fields in line order.
+const NOT_NATURAL: &str = "must be a non-negative integer";
+
+/// Parses one flat JSON object (`{"k": scalar, ...}`, a trace or flight
+/// line; nested objects are rejected) into its fields in line order.
 fn parse_object(line: &str) -> Result<Vec<(String, Raw)>, String> {
-    let mut c = Cursor { src: line, pos: 0 };
+    object(line, |c| c.value())
+}
+
+/// Parses one JSON object, reading each field's value with `value`,
+/// into its fields in source order.
+fn object(
+    src: &str,
+    value: fn(&mut Cursor) -> Result<Raw, String>,
+) -> Result<Vec<(String, Raw)>, String> {
+    let mut c = Cursor { src, pos: 0 };
     c.expect(b'{')?;
     let mut fields: Vec<(String, Raw)> = Vec::new();
-    if c.peek() == Some(b'}') {
-        c.pos += 1;
-    } else {
-        loop {
-            let key = c.string()?;
-            c.expect(b':')?;
-            let val = c.value()?;
-            if fields.iter().any(|(k, _)| *k == key) {
-                return Err(format!("duplicate key `{key}`"));
-            }
-            fields.push((key, val));
-            match c.peek() {
-                Some(b',') => c.pos += 1,
-                Some(b'}') => {
-                    c.pos += 1;
-                    break;
-                }
-                other => return Err(format!("expected `,` or `}}`, got {other:?}")),
-            }
+    c.list(b'}', |c| {
+        let key = c.string()?;
+        c.expect(b':')?;
+        let val = value(c).map_err(|e| format!("`{key}` {e}"))?;
+        if fields.iter().any(|(k, _)| *k == key) {
+            return Err(format!("duplicate key `{key}`"));
         }
-    }
+        fields.push((key, val));
+        Ok(())
+    })?;
     if c.peek().is_some() {
         return Err(format!("trailing garbage at byte {}", c.pos));
     }
@@ -1009,6 +1329,226 @@ mod tests {
             assert!(parse_object(bad).is_err(), "accepted `{bad}`");
         }
         assert!(parse_object("{}").unwrap().is_empty());
+    }
+
+    /// A flight sample with every number set to `n` and full-width
+    /// vectors.
+    fn sample(n: u64) -> FlightSample {
+        FlightSample {
+            interval: n,
+            t: n,
+            task: n,
+            vectors: n,
+            coverage: n,
+            nodes: n,
+            edges: n,
+            stagnant: n,
+            d_counters: vec![n; Counter::COUNT],
+            gauges: vec![n; Gauge::COUNT],
+            d_events: vec![n; Event::KIND_COUNT],
+            d_phase_micros: vec![n; Phase::COUNT],
+        }
+    }
+
+    /// A heartbeat with every number set to `n`, names in the fixed
+    /// orders, and the given profiler sections.
+    fn status(n: u64, sections: Vec<(String, String)>) -> Status {
+        let named = |names: &[&str]| names.iter().map(|k| (k.to_string(), n)).collect();
+        Status {
+            interval: n,
+            t: n,
+            vectors: n,
+            coverage: n,
+            nodes: n,
+            edges: n,
+            stagnant: n,
+            counters: named(&Counter::ALL.map(Counter::name)),
+            gauges: named(&Gauge::ALL.map(Gauge::name)),
+            events: named(&Event::KINDS),
+            phase_self_micros: named(&Phase::ALL.map(Phase::name)),
+            sections,
+        }
+    }
+
+    /// Flight samples and heartbeats, with boundary numbers and escaped
+    /// strings in a profiler section, in both directions.
+    #[test]
+    fn flight_samples_and_status_round_trip() {
+        let mut mixed = sample(7);
+        mixed.d_counters[0] = u64::MAX;
+        mixed.d_phase_micros[Phase::COUNT - 1] = u64::MAX;
+        for s in [sample(0), sample(u64::MAX), mixed] {
+            let line = s.to_json();
+            assert!(line.starts_with("{\"v\":1,\"interval\":"), "{line}");
+            let back = FlightSample::parse(&line).unwrap_or_else(|e| panic!("`{line}`: {e}"));
+            assert_eq!(back, s, "{line}");
+            assert_eq!(back.to_json(), line);
+        }
+        let nasty = "{\"rows\":[{\"label\":\"q\\\"b\\\\s\\n\\u0001é日本\",\"execs\":18446744073709551615}],\
+                     \"op_classes\":[[\"alu\",0]],\"nested\":{\"empty\":[],\"obj\":{}}}";
+        let sections = vec![
+            ("vm_profile".to_string(), nasty.to_string()),
+            ("solver_profile".to_string(), "{\"goals\":[]}".to_string()),
+            ("odd \"name\"".to_string(), "{}".to_string()),
+        ];
+        for st in [
+            status(0, Vec::new()),
+            status(u64::MAX, Vec::new()),
+            status(u64::MAX, sections),
+        ] {
+            let text = st.to_json();
+            let back = Status::parse(&text).unwrap_or_else(|e| panic!("`{text}`: {e}"));
+            assert_eq!(back, st, "{text}");
+            assert_eq!(back.to_json(), text);
+        }
+        // A heartbeat built from a real sample and snapshot.
+        let c = crate::Collector::deterministic();
+        c.add(Counter::Vectors, 100);
+        let st = Status::new(&sample(3), &c.snapshot(), Vec::new());
+        assert_eq!(st.counters[0], ("vectors".to_string(), 100));
+        assert_eq!(Status::parse(&st.to_json()).unwrap(), st);
+        // Written text, read and re-emitted byte for byte.
+        let text = status(5, vec![("solver_scope".into(), "{\"version\":1}".into())]).to_json();
+        assert!(text.starts_with("{\"v\":1,\"interval\":5,\"t\":5,\"vectors\":5,"));
+        assert!(
+            text.ends_with(",\"solver_scope\":{\"version\":1}}"),
+            "{text}"
+        );
+        assert_eq!(Status::parse(&text).unwrap().to_json(), text);
+    }
+
+    /// Each corruption of a written flight line or heartbeat is
+    /// rejected, with an error naming what is wrong.
+    #[test]
+    fn flight_and_status_corruptions_are_rejected() {
+        let line = sample(3).to_json();
+        let text = status(3, vec![("vm_profile".into(), "{\"rows\":[]}".into())]).to_json();
+        let flight_cases: &[(&str, &str, &str)] = &[
+            (
+                "\"vectors\":3",
+                "\"vectors\":1.5",
+                "`vectors` must be a non-negative",
+            ),
+            (
+                "\"vectors\":3",
+                "\"vectors\":-7",
+                "`vectors` must be a non-negative",
+            ),
+            ("\"v\":1", "\"v\":1.9", "`v` must be a non-negative"),
+            ("\"v\":1", "\"v\":2", "unsupported flight schema v2"),
+            ("\"v\":1,", "", "missing `v`"),
+            ("\"t\":3", "\"t\":1e2", "`t` must be a non-negative"),
+            ("\"task\":3", "\"task\":\"3\"", "`task` must be number"),
+            (
+                "\"nodes\":3",
+                "\"nodes\":3,\"nodes\":3",
+                "duplicate key `nodes`",
+            ),
+            ("\"vectors\":3", "\"vectorz\":3", "missing `vectors`"),
+            (
+                "\"d_counters\":[3,",
+                "\"d_counters\":[",
+                "`d_counters` has 24 entries",
+            ),
+            (
+                "\"gauges\":[3,",
+                "\"gauges\":[3,3,",
+                "`gauges` has 10 entries",
+            ),
+            (
+                "\"d_events\":[3,3,3,3,3,3,3,3,3,3,3,3]",
+                "\"d_events\":[]",
+                "`d_events` has 0",
+            ),
+            (
+                "\"d_phase_micros\":[3,",
+                "\"d_phase_micros\":[3.5,",
+                "`d_phase_micros` must",
+            ),
+            ("}", ",\"x\":1}", "unexpected fields [\"x\"]"),
+            ("{", "{\"x\":{},", "`x` unexpected value start"),
+            (
+                "\"d_phase_micros\":[3,3,3,3,3,3]}",
+                "\"d_phase_micros\":[3,3,3,3,3,3]",
+                "expected",
+            ),
+        ];
+        for (from, to, why) in flight_cases {
+            assert!(line.contains(from), "{from}");
+            let bad = line.replacen(from, to, 1);
+            let err = FlightSample::parse(&bad).expect_err(&bad);
+            assert!(err.contains(why), "`{bad}`: `{err}` does not say `{why}`");
+        }
+        let status_cases: &[(&str, &str, &str)] = &[
+            (
+                "\"vectors\":3",
+                "\"vectors\":1.5",
+                "`vectors` must be a non-negative",
+            ),
+            (
+                "\"vectors\":3",
+                "\"vectors\":-7",
+                "`vectors` must be a non-negative",
+            ),
+            ("\"v\":1", "\"v\":1.9", "`v` must be a non-negative"),
+            ("\"v\":1", "\"v\":2", "unsupported flight schema v2"),
+            ("{", "{\"bogus\":1,", "unexpected field `bogus`"),
+            (
+                "\"nodes\":3",
+                "\"nodes\":3,\"nodes\":3",
+                "duplicate key `nodes`",
+            ),
+            (
+                "{\"vectors\":3",
+                "{\"vectorz\":3",
+                "`counters` entry 0 is `vectorz`",
+            ),
+            ("\"t\":3", "\"t\":1e2", "`t` must be a non-negative"),
+            ("\"t\":3,", "", "missing `t`"),
+            (
+                "\"vectors\":3",
+                "\"vectors\":\"many\"",
+                "`vectors` must be number",
+            ),
+            (
+                "{\"mutate\":3,",
+                "{",
+                "`phase_self_micros` entry 0 is `settle`",
+            ),
+            (
+                "\"reset\":3}",
+                "\"reset\":3,\"nap\":3}",
+                "entry 6 is `nap`, expected nothing",
+            ),
+            (
+                "\"gauges\":{",
+                "\"gauges\":{\"x\":{},",
+                "`x` unexpected value start",
+            ),
+            (
+                "\"events\":{",
+                "\"events\":[],\"e\":{",
+                "`events` must be object",
+            ),
+            ("{\"rows\":[]}", "{\"rows\":[}", "unexpected value start"),
+            (
+                "{\"rows\":[]}",
+                "[]",
+                "unexpected field `vm_profile`, not an object",
+            ),
+            ("{\"rows\":[]}", "{\"rows\":[-1]}", "must be a non-negative"),
+        ];
+        for (from, to, why) in status_cases {
+            assert!(text.contains(from), "{from}");
+            let bad = text.replacen(from, to, 1);
+            let err = Status::parse(&bad).expect_err(&bad);
+            assert!(err.contains(why), "`{bad}`: `{err}` does not say `{why}`");
+        }
+        // Not an object at all.
+        for bad in ["", "[]", "{\"v\":1", "null"] {
+            assert!(Status::parse(bad).is_err(), "accepted `{bad}`");
+            assert!(FlightSample::parse(bad).is_err(), "accepted `{bad}`");
+        }
     }
 
     #[test]

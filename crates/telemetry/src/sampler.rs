@@ -14,22 +14,19 @@
 //!
 //! Samples are held in a bounded in-memory ring and, when paths are
 //! attached, appended live to a `flight.jsonl` file (one
-//! [`flight_line`] per sample, `"v"`-tagged with [`FLIGHT_VERSION`])
-//! while a `status.json` heartbeat is rewritten atomically
-//! (tmp-file + rename) so external tools can poll it mid-run without
-//! ever observing a torn write.
+//! [`FlightSample::to_json`] line per sample) while a `status.json`
+//! heartbeat ([`Status`]) is rewritten atomically (tmp-file + rename) so
+//! external tools can poll it mid-run without ever observing a torn
+//! write. Both formats are defined, in both directions, in the record
+//! module.
 
 use crate::collector::{Collector, Counter};
-use crate::record::{escape_json_into, Record};
+use crate::record::{Record, Status};
 use crate::snapshot::MetricsSnapshot;
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
-
-/// Schema version stamped into every flight record and status
-/// heartbeat (`"v"` field). Bump when the sample layout changes.
-pub const FLIGHT_VERSION: u64 = 1;
 
 /// Default bound on the in-memory sample ring.
 pub const DEFAULT_SAMPLE_RING_CAP: usize = 1024;
@@ -55,8 +52,8 @@ pub struct SampleState {
 /// Vector fields are positional in the fixed schema orders
 /// ([`Counter::ALL`], [`crate::Gauge::ALL`], [`crate::Event::KINDS`],
 /// [`crate::Phase::ALL`]); the names are not repeated per sample —
-/// that is the delta stream's compression. [`flight_line`] renders
-/// the canonical JSONL encoding.
+/// that is the delta stream's compression. [`FlightSample::to_json`]
+/// renders the canonical JSONL encoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightSample {
     /// Sample interval index (`vectors / sample_every`).
@@ -87,95 +84,6 @@ pub struct FlightSample {
     /// Phase self-time deltas since the previous sample,
     /// [`crate::Phase::ALL`] order.
     pub d_phase_micros: Vec<u64>,
-}
-
-fn push_nums(out: &mut String, vals: &[u64]) {
-    out.push('[');
-    for (i, v) in vals.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&v.to_string());
-    }
-    out.push(']');
-}
-
-/// Renders one flight record as canonical flat-array JSONL (no
-/// trailing newline). Byte-stable: two equal samples always render
-/// identically, which is what the `--jobs` byte-identity contract of
-/// the merged `flight.jsonl` rests on.
-pub fn flight_line(s: &FlightSample) -> String {
-    let mut out = format!(
-        "{{\"v\":{FLIGHT_VERSION},\"interval\":{},\"t\":{},\"task\":{},\"vectors\":{},\
-         \"coverage\":{},\"nodes\":{},\"edges\":{},\"stagnant\":{},\"d_counters\":",
-        s.interval, s.t, s.task, s.vectors, s.coverage, s.nodes, s.edges, s.stagnant
-    );
-    push_nums(&mut out, &s.d_counters);
-    out.push_str(",\"gauges\":");
-    push_nums(&mut out, &s.gauges);
-    out.push_str(",\"d_events\":");
-    push_nums(&mut out, &s.d_events);
-    out.push_str(",\"d_phase_micros\":");
-    push_nums(&mut out, &s.d_phase_micros);
-    out.push('}');
-    out
-}
-
-fn push_pairs(out: &mut String, pairs: &[(String, u64)]) {
-    out.push('{');
-    for (i, (name, v)) in pairs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        escape_json_into(name, out);
-        out.push_str("\":");
-        out.push_str(&v.to_string());
-    }
-    out.push('}');
-}
-
-/// Renders the `status.json` heartbeat: the latest sample's state
-/// scalars plus the *cumulative* counters/gauges/phase self-times from
-/// `snapshot`, and any pre-rendered extra sections (profiler blocks)
-/// appended verbatim as `"name": <json>`. The telemetry crate stays
-/// dependency-free, so richer sections are composed by the caller.
-pub fn status_json(
-    latest: &FlightSample,
-    snapshot: &MetricsSnapshot,
-    extra: &[(String, String)],
-) -> String {
-    let mut out = format!(
-        "{{\"v\":{FLIGHT_VERSION},\"interval\":{},\"t\":{},\"vectors\":{},\"coverage\":{},\
-         \"nodes\":{},\"edges\":{},\"stagnant\":{},\"counters\":",
-        latest.interval,
-        latest.t,
-        latest.vectors,
-        latest.coverage,
-        latest.nodes,
-        latest.edges,
-        latest.stagnant
-    );
-    push_pairs(&mut out, &snapshot.counters);
-    out.push_str(",\"gauges\":");
-    push_pairs(&mut out, &snapshot.gauges);
-    out.push_str(",\"events\":");
-    push_pairs(&mut out, &snapshot.events);
-    out.push_str(",\"phase_self_micros\":");
-    let phases: Vec<(String, u64)> = snapshot
-        .phases
-        .iter()
-        .map(|p| (p.phase.clone(), p.self_micros))
-        .collect();
-    push_pairs(&mut out, &phases);
-    for (name, json) in extra {
-        out.push_str(",\"");
-        escape_json_into(name, &mut out);
-        out.push_str("\":");
-        out.push_str(json);
-    }
-    out.push('}');
-    out
 }
 
 /// Writes `contents` to `path` atomically: a sibling `.tmp` file is
@@ -328,7 +236,7 @@ impl Sampler {
         };
         self.prev = Some(snap);
         if let Some(w) = &mut self.flight {
-            let _ = writeln!(w, "{}", flight_line(&sample));
+            let _ = writeln!(w, "{}", sample.to_json());
             let _ = w.flush();
         }
         // Mirror the headline numbers into the trace stream so a
@@ -353,16 +261,16 @@ impl Sampler {
     }
 
     /// Rewrites the `status.json` heartbeat atomically from the latest
-    /// sample and its cumulative snapshot, appending `extra`
-    /// pre-rendered sections ([`status_json`]). No-op without a status
+    /// sample and its cumulative snapshot, with the caller's rendered
+    /// profiler `sections` ([`Status::new`]). No-op without a status
     /// path or before the first sample.
-    pub fn write_status(&self, extra: &[(String, String)]) {
+    pub fn write_status(&self, sections: Vec<(String, String)>) {
         let (Some(path), Some(latest), Some(snap)) =
             (&self.status_path, self.ring.back(), &self.prev)
         else {
             return;
         };
-        let _ = write_atomic(path, &status_json(latest, snap, extra));
+        let _ = write_atomic(path, &Status::new(latest, snap, sections).to_json());
     }
 
     /// The cumulative snapshot frozen at the latest sample, if any.
@@ -380,7 +288,7 @@ fn counter_index(c: Counter) -> usize {
 /// gauges and stagnation keep the maximum, timestamps keep the
 /// maximum, and the merged task label is 0. Because each per-task
 /// stream is deterministic and tasks are folded in slice order, the
-/// merged stream — and therefore its [`flight_line`] rendering — is
+/// merged stream — and therefore its [`FlightSample::to_json`] lines — is
 /// byte-identical at any `--jobs N`.
 pub fn merge_flight(tasks: &[Vec<FlightSample>]) -> Vec<FlightSample> {
     let mut out: Vec<FlightSample> = Vec::new();
@@ -532,7 +440,7 @@ mod tests {
             d_phase_micros: vec![60],
         };
         assert_eq!(
-            flight_line(&s),
+            s.to_json(),
             "{\"v\":1,\"interval\":2,\"t\":200,\"task\":1,\"vectors\":200,\"coverage\":9,\
              \"nodes\":4,\"edges\":3,\"stagnant\":1,\"d_counters\":[100,2],\"gauges\":[5],\
              \"d_events\":[1,0],\"d_phase_micros\":[60]}"
@@ -547,11 +455,12 @@ mod tests {
         let mut s = Sampler::new(100);
         s.maybe_sample(&c, &state(100, 5)).unwrap();
         let latest = s.samples().last().unwrap();
-        let json = status_json(
+        let json = Status::new(
             latest,
             s.latest_snapshot().unwrap(),
-            &[("vm_profile".to_string(), "{\"cones\":[]}".to_string())],
-        );
+            vec![("vm_profile".to_string(), "{\"cones\":[]}".to_string())],
+        )
+        .to_json();
         assert!(json.starts_with("{\"v\":1,"), "{json}");
         assert!(json.contains("\"vectors\":100"));
         assert!(json.contains("\"counters\":{\"vectors\":100,"));
@@ -584,7 +493,8 @@ mod tests {
         // ...merge identically no matter how they are grouped.
         let all = merge_flight(&streams);
         let ab = merge_flight(&[merge_flight(&streams[..2]), merge_flight(&streams[2..])]);
-        let lines = |v: &[FlightSample]| -> Vec<String> { v.iter().map(flight_line).collect() };
+        let lines =
+            |v: &[FlightSample]| -> Vec<String> { v.iter().map(FlightSample::to_json).collect() };
         assert_eq!(lines(&all), lines(&ab));
         assert_eq!(all.len(), 4);
         assert_eq!(all[0].vectors, 600); // 100 + 200 + 300
@@ -631,11 +541,11 @@ mod tests {
             c.add(Counter::Vectors, 10);
             c.set_time(v);
             assert!(s.maybe_sample(&c, &state(v, v / 10)).is_some());
-            s.write_status(&[]);
+            s.write_status(Vec::new());
         }
         let text = std::fs::read_to_string(&flight).unwrap();
         assert_eq!(text.lines().count(), 3);
-        let expected: String = s.samples().map(|x| flight_line(x) + "\n").collect();
+        let expected: String = s.samples().map(|x| x.to_json() + "\n").collect();
         assert_eq!(text, expected);
         let st = std::fs::read_to_string(&status).unwrap();
         assert!(st.contains("\"vectors\":30"));
